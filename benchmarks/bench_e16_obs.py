@@ -3,8 +3,8 @@
 The observability acceptance gate: with tracing disabled (``trace=None``,
 the production default) the public packed DFS entry point must stay
 within 5% of the raw kernel floor at the headline 100k/k=10 workload.
-Enabled tracing dispatches to the separate traced kernels and is timed
-for the record, but is not gated — forensics is allowed to cost.
+Enabled tracing runs the general instrumented loop and is timed for the
+record, but is not gated — forensics is allowed to cost.
 """
 
 import gc
@@ -13,17 +13,11 @@ import time
 import pytest
 
 from repro.bench.experiments import get_experiment
-from repro.bench.harness import build_tree, points_as_items
-from repro.core import knn_dfs as _knn_dfs
-from repro.core.stats import SearchStats
+from repro.bench.harness import build_tree, kernel_floor, points_as_items
 from repro.datasets.queries import query_points_uniform
 from repro.datasets.synthetic import uniform_points
 from repro.obs.trace import Trace
-from repro.packed.kernels import (
-    _dfs_2d_fast,
-    _heap_to_neighbors,
-    packed_nearest_dfs,
-)
+from repro.packed.kernels import packed_nearest_dfs
 from repro.packed.layout import PackedTree
 from repro.storage.pager import PageModel
 
@@ -62,7 +56,7 @@ def test_e16_disabled_benchmark(benchmark, headline_packed, headline_queries):
 
 
 def test_e16_traced_benchmark(benchmark, headline_packed, headline_queries):
-    """Time the traced kernels (fresh Trace per query) for the record."""
+    """Time traced queries (fresh Trace per query) for the record."""
 
     def run():
         return [
@@ -85,7 +79,6 @@ def test_e16_disabled_overhead_100k(headline_packed, headline_queries):
     must also match untraced exactly — instrumentation that changes the
     answer is worse than none.
     """
-    slack = _knn_dfs._PRUNE_SLACK
     for q in headline_queries[:8]:
         plain_nb, plain_stats = packed_nearest_dfs(
             headline_packed, q, k=HEADLINE_K
@@ -106,12 +99,7 @@ def test_e16_disabled_overhead_100k(headline_packed, headline_queries):
     try:
         for _ in range(9):
             start = time.perf_counter()
-            for q in headline_queries:
-                heap = _dfs_2d_fast(
-                    headline_packed, q[0], q[1], HEADLINE_K, 1.0, slack,
-                    None, SearchStats(),
-                )
-                _heap_to_neighbors(headline_packed, heap)
+            kernel_floor(headline_packed, headline_queries, HEADLINE_K)
             floor_times.append(time.perf_counter() - start)
             start = time.perf_counter()
             for q in headline_queries:

@@ -4,8 +4,8 @@ The robustness acceptance gate: with no budget attached (the production
 default) the public packed DFS entry point must stay within 5% of the
 raw kernel floor at the headline 100k/k=10 workload — cancellability
 must be free for queries that do not ask for it.  Budgeted queries
-dispatch to the separate budgeted kernels and pay a clock charge per
-node visit; they are timed for the record but not gated.  The seeded
+run the general instrumented loop and pay a clock charge per node
+visit; they are timed for the record but not gated.  The seeded
 chaos soak must PASS: every certified answer sound, accounting
 conserved, workers drained.
 """
@@ -16,18 +16,12 @@ import time
 import pytest
 
 from repro.bench.experiments import get_experiment
-from repro.bench.harness import build_tree, points_as_items
+from repro.bench.harness import build_tree, kernel_floor, points_as_items
 from repro.chaos import ChaosConfig, run_soak
-from repro.core import knn_dfs as _knn_dfs
 from repro.core.budget import Budget
-from repro.core.stats import SearchStats
 from repro.datasets.queries import query_points_uniform
 from repro.datasets.synthetic import uniform_points
-from repro.packed.kernels import (
-    _dfs_2d_fast,
-    _heap_to_neighbors,
-    packed_nearest_dfs,
-)
+from repro.packed.kernels import packed_nearest_dfs
 from repro.packed.layout import PackedTree
 from repro.storage.pager import PageModel
 
@@ -68,7 +62,7 @@ def test_e17_unbudgeted_benchmark(benchmark, headline_packed, headline_queries):
 
 
 def test_e17_budgeted_benchmark(benchmark, headline_packed, headline_queries):
-    """Time the budgeted kernels (loose page budget) for the record."""
+    """Time budgeted queries (loose page budget) for the record."""
 
     def run():
         return [
@@ -90,7 +84,6 @@ def test_e17_unbudgeted_overhead_100k(headline_packed, headline_queries):
     A loose budget must also not change the answer — the budgeted
     kernels truncate state, never results, when nothing is exhausted.
     """
-    slack = _knn_dfs._PRUNE_SLACK
     for q in headline_queries[:8]:
         plain_nb, plain_stats = packed_nearest_dfs(
             headline_packed, q, k=HEADLINE_K
@@ -112,12 +105,7 @@ def test_e17_unbudgeted_overhead_100k(headline_packed, headline_queries):
     try:
         for _ in range(9):
             start = time.perf_counter()
-            for q in headline_queries:
-                heap = _dfs_2d_fast(
-                    headline_packed, q[0], q[1], HEADLINE_K, 1.0, slack,
-                    None, SearchStats(),
-                )
-                _heap_to_neighbors(headline_packed, heap)
+            kernel_floor(headline_packed, headline_queries, HEADLINE_K)
             floor_times.append(time.perf_counter() - start)
             start = time.perf_counter()
             for q in headline_queries:

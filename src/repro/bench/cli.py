@@ -789,35 +789,25 @@ def _obs_command(args: argparse.Namespace) -> tuple:
     ``trace=None`` (what every production query pays — validation, kernel
     dispatch, and the ``trace is None`` test), and the public entry point
     with tracing enabled (forensics price, reported but not gated).  The
-    gate holds disabled/floor to ``--gate``; the traced kernels are
-    separate code, so enabling tracing can never slow the untraced path.
+    gate holds disabled/floor to ``--gate``; a traced 2-D query runs the
+    general instrumented loop instead of the hook-free 2-D one, so
+    enabling tracing can never slow the untraced path.
     """
-    from repro.bench.harness import build_tree, points_as_items
-    from repro.core import knn_dfs as _knn_dfs
-    from repro.core.stats import SearchStats
+    from repro.bench.harness import build_tree, kernel_floor, points_as_items
     from repro.datasets.queries import query_points_uniform
     from repro.datasets.synthetic import uniform_points
     from repro.obs.trace import Trace
-    from repro.packed.kernels import (
-        _dfs_2d_fast,
-        _heap_to_neighbors,
-        packed_nearest_dfs,
-    )
+    from repro.packed.kernels import packed_nearest_dfs
     from repro.packed.layout import PackedTree
 
     points = uniform_points(args.n, seed=args.seed)
     queries = query_points_uniform(args.queries, seed=args.seed + 1)
     tree = build_tree(points_as_items(points))
     ptree = PackedTree.from_tree(tree)
-    slack = _knn_dfs._PRUNE_SLACK
     k = args.k
 
     def kernel_only():
-        for q in queries:
-            heap = _dfs_2d_fast(
-                ptree, q[0], q[1], k, 1.0, slack, None, SearchStats()
-            )
-            _heap_to_neighbors(ptree, heap)
+        kernel_floor(ptree, queries, k)
 
     def disabled():
         for q in queries:
@@ -872,39 +862,28 @@ def _resilience_command(args: argparse.Namespace) -> tuple:
     raw kernel floor, the public entry point with ``budget=None`` (what
     every production query pays for cancellability it is not using —
     one ``budget is None`` test), and the public entry point with a
-    loose page budget (the budgeted kernels charge a clock per node
-    visit; reported, not gated).  The gate holds unbudgeted/floor to
+    loose page budget (the general instrumented loop charges a clock per
+    node visit; reported, not gated).  The gate holds unbudgeted/floor to
     ``--gate``.  Then a short seeded soak (``python -m repro.chaos``
     semantics) must PASS: every certified answer sound, accounting
     conserved, workers drained.
     """
-    from repro.bench.harness import build_tree, points_as_items
-    from repro.core import knn_dfs as _knn_dfs
+    from repro.bench.harness import build_tree, kernel_floor, points_as_items
     from repro.core.budget import Budget
-    from repro.core.stats import SearchStats
     from repro.datasets.queries import query_points_uniform
     from repro.datasets.synthetic import uniform_points
-    from repro.packed.kernels import (
-        _dfs_2d_fast,
-        _heap_to_neighbors,
-        packed_nearest_dfs,
-    )
+    from repro.packed.kernels import packed_nearest_dfs
     from repro.packed.layout import PackedTree
 
     points = uniform_points(args.n, seed=args.seed)
     queries = query_points_uniform(args.queries, seed=args.seed + 1)
     tree = build_tree(points_as_items(points))
     ptree = PackedTree.from_tree(tree)
-    slack = _knn_dfs._PRUNE_SLACK
     k = args.k
     loose = Budget(max_pages=1_000_000_000)
 
     def kernel_only():
-        for q in queries:
-            heap = _dfs_2d_fast(
-                ptree, q[0], q[1], k, 1.0, slack, None, SearchStats()
-            )
-            _heap_to_neighbors(ptree, heap)
+        kernel_floor(ptree, queries, k)
 
     def no_budget():
         for q in queries:

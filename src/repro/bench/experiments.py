@@ -18,7 +18,12 @@ from repro.baselines.gridfile import GridIndex
 from repro.baselines.kdtree import KdTree
 from repro.baselines.quadtree import QuadTree
 from repro.baselines.linear_scan import linear_scan_items
-from repro.bench.harness import build_tree, points_as_items, run_query_batch
+from repro.bench.harness import (
+    build_tree,
+    kernel_floor,
+    points_as_items,
+    run_query_batch,
+)
 from repro.bench.tables import Table
 from repro.core.config import QueryConfig
 from repro.core.pruning import PruningConfig
@@ -930,14 +935,8 @@ def _run_e15(scale: Scale) -> List[Table]:
 # E16 — tracer overhead and trace volume on the packed DFS hot path
 # ----------------------------------------------------------------------
 def _run_e16(scale: Scale) -> List[Table]:
-    from repro.core import knn_dfs as _knn_dfs
-    from repro.core.stats import SearchStats
     from repro.obs.trace import Trace
-    from repro.packed.kernels import (
-        _dfs_2d_fast,
-        _heap_to_neighbors,
-        packed_nearest_dfs,
-    )
+    from repro.packed.kernels import packed_nearest_dfs
     from repro.packed.layout import PackedTree
 
     n = scale.base_size
@@ -945,16 +944,11 @@ def _run_e16(scale: Scale) -> List[Table]:
     queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
     tree = build_tree(_uniform_items(n))
     ptree = PackedTree.from_tree(tree)
-    slack = _knn_dfs._PRUNE_SLACK
 
     def _kernel_only() -> None:
         # The raw hot loop with the dispatch layer peeled off: the floor
         # the disabled-tracer public call is gated against.
-        for q in queries:
-            heap = _dfs_2d_fast(
-                ptree, q[0], q[1], k, 1.0, slack, None, SearchStats()
-            )
-            _heap_to_neighbors(ptree, heap)
+        kernel_floor(ptree, queries, k)
 
     def _disabled() -> None:
         for q in queries:
@@ -991,7 +985,7 @@ def _run_e16(scale: Scale) -> List[Table]:
             "public dispatch layer (validation + the `trace is None` "
             "test); the gap to 'public, trace=None' is everything disabled "
             "tracing can possibly cost, gated <5% by `repro.bench obs`.  "
-            "Enabled tracing dispatches to the separate traced kernels and "
+            "Enabled tracing runs the general instrumented loop and "
             "pays for event recording; its ratio bounds the price of "
             "forensics, not of normal serving."
         ),
@@ -1010,14 +1004,8 @@ def _run_e16(scale: Scale) -> List[Table]:
 # E17 — budget-check overhead and the overload-resilience soak
 # ----------------------------------------------------------------------
 def _run_e17(scale: Scale) -> List[Table]:
-    from repro.core import knn_dfs as _knn_dfs
     from repro.core.budget import Budget
-    from repro.core.stats import SearchStats
-    from repro.packed.kernels import (
-        _dfs_2d_fast,
-        _heap_to_neighbors,
-        packed_nearest_dfs,
-    )
+    from repro.packed.kernels import packed_nearest_dfs
     from repro.packed.layout import PackedTree
 
     n = scale.base_size
@@ -1025,17 +1013,12 @@ def _run_e17(scale: Scale) -> List[Table]:
     queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
     tree = build_tree(_uniform_items(n))
     ptree = PackedTree.from_tree(tree)
-    slack = _knn_dfs._PRUNE_SLACK
     loose = Budget(max_pages=1_000_000_000)
 
     def _kernel_only() -> None:
         # The raw hot loop with the dispatch layer peeled off: the floor
         # the no-budget public call is gated against.
-        for q in queries:
-            heap = _dfs_2d_fast(
-                ptree, q[0], q[1], k, 1.0, slack, None, SearchStats()
-            )
-            _heap_to_neighbors(ptree, heap)
+        kernel_floor(ptree, queries, k)
 
     def _no_budget() -> None:
         for q in queries:
@@ -1068,8 +1051,8 @@ def _run_e17(scale: Scale) -> List[Table]:
             "public dispatch layer; the gap to 'public, budget=None' is "
             "everything the deadline/page-budget machinery can possibly "
             "cost an unbudgeted query (one `budget is None` test), gated "
-            "<5% by `repro.bench resilience`.  A budgeted query dispatches "
-            "to the separate budgeted kernels and pays one clock charge "
+            "<5% by `repro.bench resilience`.  A budgeted query runs the "
+            "general instrumented loop and pays one clock charge "
             "per node visit — the price of cancellability, reported but "
             "not gated."
         ),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
 from repro.core.budget import Budget
-from repro.core.knn_dfs import ObjectDistance
+from repro.core.knn_dfs import ObjectDistance, _check_epsilon
 from repro.core.pruning import PruningConfig
 from repro.errors import InvalidParameterError
 
@@ -159,10 +159,7 @@ class QueryConfig:
             raise InvalidParameterError(
                 f"pruning must be a PruningConfig or None, got {self.pruning!r}"
             )
-        if self.epsilon < 0.0:
-            raise InvalidParameterError(
-                f"epsilon must be >= 0, got {self.epsilon}"
-            )
+        _check_epsilon(self.epsilon)
         if self.object_distance_sq is not None and not callable(
             self.object_distance_sq
         ):

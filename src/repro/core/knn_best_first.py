@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.budget import Budget, finish_truncated
-from repro.core.knn_dfs import ObjectDistance
+from repro.core.knn_dfs import ObjectDistance, _check_epsilon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.trace import Trace
@@ -67,8 +67,7 @@ def nearest_best_first(
     query = as_point(point)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     stats = SearchStats()
     if len(tree) == 0:
         return [], stats

@@ -63,6 +63,20 @@ _VALID_ORDERINGS = ("mindist", "minmaxdist")
 _PRUNE_SLACK = 1.0 + 1e-12
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject a negative or non-finite approximation slack.
+
+    The one epsilon rule for every door (``QueryConfig``, the object and
+    packed entry points).  NaN fails every bound comparison and ``inf``
+    shrinks the k-th-candidate bound to ``inf * 0``, so best-first would
+    stop after one page with no neighbors and no error.
+    """
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise InvalidParameterError(
+            f"epsilon must be finite and >= 0, got {epsilon}"
+        )
+
+
 def _set_prune_slack(value: float) -> float:
     """TEST-ONLY seam: replace the prune slack; returns the previous value.
 
@@ -134,8 +148,7 @@ def nearest_dfs(
         raise InvalidParameterError(
             f"ordering must be one of {_VALID_ORDERINGS}, got {ordering!r}"
         )
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     stats = SearchStats()
     if len(tree) == 0:
         return [], stats

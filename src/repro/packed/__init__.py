@@ -13,7 +13,9 @@ Entry points:
   per mutation epoch).
 - :func:`packed_nearest_dfs` / :func:`packed_nearest_best_first` — direct
   kernel calls, mirroring :func:`repro.core.nearest_dfs` and
-  :func:`repro.core.nearest_best_first`.
+  :func:`repro.core.nearest_best_first`.  Which of the five traversal
+  loops a call runs follows from its dimension, ``trace`` and ``budget``
+  (docs/INTERNALS.md, "Packed kernel dispatch").
 - :func:`packed_nearest_batch` / :func:`run_packed_batch` — the
   multi-query batch kernel (:mod:`repro.packed.batch`): one traversal
   answers a whole same-config window, with the per-node MINDIST pass

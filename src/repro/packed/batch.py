@@ -77,7 +77,12 @@ from repro.core.query import NNResult
 from repro.core.stats import SearchStats
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.point import as_point
-from repro.packed.kernels import _SENTINEL, _heap_to_neighbors, run_packed_query
+from repro.packed.kernels import (
+    _SENTINEL,
+    _check_k_epsilon,
+    _heap_to_neighbors,
+    run_packed_query,
+)
 from repro.packed.layout import PackedTree
 from repro.storage.tracker import AccessTracker
 
@@ -401,10 +406,7 @@ def packed_nearest_batch(
             :class:`InvalidParameterError` without it.
     """
     queries = [as_point(p) for p in points]
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    _check_k_epsilon(k, epsilon)
     if vectorize and _np is None:
         raise InvalidParameterError(
             "vectorize=True requires numpy; install the repro[fast] "
@@ -441,8 +443,11 @@ def packed_nearest_batch(
     else:
         views = refs_np = scratch = None
 
+    # No more than ``size`` objects can be offered, so the smaller heap
+    # behaves exactly like a ``k``-slot one (see kernels._begin_query).
+    slots = min(k, ptree.size)
     agendas = [
-        _Agenda(q, k, stats) for q, stats in zip(queries, statses)
+        _Agenda(q, slots, stats) for q, stats in zip(queries, statses)
     ]
     live = agendas
     while live:

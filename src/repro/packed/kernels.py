@@ -23,6 +23,15 @@ object kernels' floating-point evaluation order exactly (including the
 prune slack, read from :mod:`repro.core.knn_dfs` so the audit's
 broken-prune seam reaches this path too), their stable ABL sort, and the
 candidate buffer's tie-breaking counter discipline.
+
+**Five loops.**  Each algorithm has one *general* loop
+(:func:`_dfs_general`, :func:`_best_first_general`: any dimension, every
+ordering/pruning/epsilon combination, with ``None``-checked budget-clock
+and trace hooks) plus 2-D specializations without the hooks
+(:func:`_dfs_2d_fast`, :func:`_dfs_2d_general`, :func:`_best_first_2d`),
+which the entry points select when ``dim == 2 and trace is None and
+budget is None``.  docs/INTERNALS.md ("Packed kernel dispatch") holds the
+measurements behind that split.
 """
 
 from __future__ import annotations
@@ -31,13 +40,13 @@ import math
 from bisect import bisect_right
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.trace import Trace
 
 from repro.core import knn_dfs as _knn_dfs
-from repro.core.budget import Budget, finish_truncated
+from repro.core.budget import Budget, BudgetClock, finish_truncated
 from repro.core.config import QueryConfig
 from repro.core.neighbors import Neighbor
 from repro.core.pruning import PruningConfig
@@ -45,8 +54,7 @@ from repro.core.query import NNResult
 from repro.core.stats import SearchStats
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.point import as_point
-from repro.geometry.rect import Rect
-from repro.packed.layout import NODE_INTERNAL, NODE_LEAF_POINTS, PackedTree
+from repro.packed.layout import PackedTree
 from repro.storage.tracker import AccessTracker
 
 __all__ = [
@@ -68,6 +76,57 @@ _DEFAULT_PRUNING_KN = PruningConfig.all().effective_for_k(2)
 _SENTINEL = (-math.inf, 0, -1)
 
 
+def _check_k_epsilon(k: int, epsilon: float) -> None:
+    """The ``k``/``epsilon`` rule of every packed door (``QueryConfig``'s)."""
+    if not isinstance(k, int) or k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+    _knn_dfs._check_epsilon(epsilon)
+
+
+def _begin_query(
+    ptree: PackedTree, point: Sequence[float], k: int, epsilon: float
+) -> Tuple[Tuple[float, ...], SearchStats, int, float]:
+    """The validation prelude both entry points share.
+
+    Returns ``(query, stats, slots, shrink_sq)``.  *slots* is the
+    candidate-heap size, ``min(k, ptree.size)``: no more than ``size``
+    objects can ever be offered, so the smaller heap keeps the "worst
+    stays +inf until full" bound — answers and stats are those of a
+    ``k``-slot heap — while a huge ``k`` costs nothing.  ``slots == 0``
+    means an empty snapshot: the caller answers ``[]`` without a loop.
+    """
+    query = as_point(point)
+    _check_k_epsilon(k, epsilon)
+    stats = SearchStats()
+    # The snapshot reads no storage at query time, but the *compile* may
+    # have skipped corrupt pages — every query on such a snapshot is
+    # missing those subtrees (even the degenerate all-corrupt one that
+    # compiled empty), so surface the degradation exactly like the
+    # object kernels surface their per-query skips.
+    stats.pages_skipped_corrupt = ptree.pages_skipped_corrupt
+    size = ptree.size
+    if size and ptree.dimension != len(query):
+        raise DimensionMismatchError(ptree.dimension, len(query), "query point")
+    return query, stats, min(k, size), 1.0 / (1.0 + epsilon) ** 2
+
+
+def _finish_instrumented(
+    ptree: PackedTree,
+    heap: List[tuple],
+    frontier_sq: float,
+    stats: SearchStats,
+    trace: Optional["Trace"],
+    budget: Optional[Budget],
+    clock: Optional[BudgetClock],
+) -> Tuple[List[Neighbor], SearchStats]:
+    """Close out a general-loop run: skip events, exhaustion policy."""
+    if trace is not None:
+        trace.skips(ptree.pages_skipped_corrupt)
+    if clock is not None and clock.reason:
+        finish_truncated(stats, budget, clock.reason, frontier_sq)
+    return _heap_to_neighbors(ptree, heap), stats
+
+
 def packed_nearest_dfs(
     ptree: PackedTree,
     point: Sequence[float],
@@ -85,91 +144,49 @@ def packed_nearest_dfs(
     ``object_distance_sq`` hook (exact object distances need the payload
     objects on the hot path; use the object kernel for those queries).
 
-    Passing a :class:`repro.obs.Trace` dispatches to the traced kernel
-    variants in :mod:`repro.packed.traced`; with ``trace=None`` (the
-    default) the untraced hot loops below run untouched, so disabled
-    tracing costs one ``is None`` test per query.  A *budget* likewise
-    dispatches to :mod:`repro.packed.budgeted` (which also handles
-    budget+trace combined), so unbudgeted queries pay one more ``is
-    None`` test and nothing else — the E17 gate holds both together
-    under 5% of the raw kernel floor.
+    A 2-D query with neither a :class:`repro.obs.Trace` nor a *budget*
+    (the served default) runs a hook-free 2-D loop; every other query
+    runs :func:`_dfs_general` (see the module docstring).
     """
-    query = as_point(point)
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
     if ordering not in _VALID_ORDERINGS:
         raise InvalidParameterError(
             f"ordering must be one of {_VALID_ORDERINGS}, got {ordering!r}"
         )
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    stats = SearchStats()
-    # The snapshot reads no storage at query time, but the *compile* may
-    # have skipped corrupt pages — every query on such a snapshot is
-    # missing those subtrees (even the degenerate all-corrupt one that
-    # compiled empty), so surface the degradation exactly like the
-    # object kernels surface their per-query skips.
-    stats.pages_skipped_corrupt = ptree.pages_skipped_corrupt
-    if ptree.size == 0:
+    query, stats, slots, shrink_sq = _begin_query(ptree, point, k, epsilon)
+    if not slots:
         return [], stats
-    dim = ptree.dimension
-    if dim != len(query):
-        raise DimensionMismatchError(dim, len(query), "query point")
-
     if pruning is None:
         # Same result as PruningConfig.all().effective_for_k(k), without
         # building two throwaway config objects per query.
         config = _DEFAULT_PRUNING_K1 if k == 1 else _DEFAULT_PRUNING_KN
     else:
         config = pruning.effective_for_k(k)
-    shrink_sq = 1.0 / (1.0 + epsilon) ** 2
     slack = _knn_dfs._PRUNE_SLACK
-    if budget is not None:
-        # Budget dispatch comes first: the budgeted kernel also emits
-        # trace events when given one, covering the budget+trace case.
-        from repro.packed.budgeted import budgeted_dfs
-
-        clock = budget.start()
-        heap, frontier_sq = budgeted_dfs(
-            ptree, query, k, config, ordering, shrink_sq, slack, tracker,
-            stats, clock, trace,
-        )
-        if trace is not None:
-            trace.skips(ptree.pages_skipped_corrupt)
-        if clock.reason:
-            finish_truncated(stats, budget, clock.reason, frontier_sq)
-        return _heap_to_neighbors(ptree, heap), stats
-    if trace is not None:
-        from repro.packed.traced import traced_dfs
-
-        heap = traced_dfs(
-            ptree, query, k, config, ordering, shrink_sq, slack, tracker,
-            stats, trace,
-        )
-        trace.skips(ptree.pages_skipped_corrupt)
-        return _heap_to_neighbors(ptree, heap), stats
-    fast = (
-        ordering == "mindist"
-        and config.use_p3
-        and not config.use_p1
-        and not config.use_p2
-    )
-    if dim == 2:
-        if fast:
+    if ptree.dimension == 2 and trace is None and budget is None:
+        if (
+            ordering == "mindist"
+            and config.use_p3
+            and not config.use_p1
+            and not config.use_p2
+        ):
             heap = _dfs_2d_fast(
-                ptree, query[0], query[1], k, shrink_sq, slack, tracker, stats
+                ptree, query[0], query[1], slots, shrink_sq, slack, tracker,
+                stats,
             )
         else:
             heap = _dfs_2d_general(
-                ptree, query[0], query[1], k, config, ordering, shrink_sq,
-                slack, tracker, stats,
+                ptree, query[0], query[1], slots, config, ordering,
+                shrink_sq, slack, tracker, stats,
             )
-    else:
-        heap = _dfs_nd_general(
-            ptree, query, k, config, ordering, shrink_sq, slack, tracker,
-            stats,
-        )
-    return _heap_to_neighbors(ptree, heap), stats
+        return _heap_to_neighbors(ptree, heap), stats
+    clock = budget.start() if budget is not None else None
+    heap, frontier_sq = _dfs_general(
+        ptree, query, slots, config, ordering, shrink_sq, slack, tracker,
+        stats, clock, trace,
+    )
+    return _finish_instrumented(
+        ptree, heap, frontier_sq, stats, trace, budget, clock
+    )
 
 
 def packed_nearest_best_first(
@@ -182,52 +199,23 @@ def packed_nearest_best_first(
     budget: Optional[Budget] = None,
 ) -> Tuple[List[Neighbor], SearchStats]:
     """Packed equivalent of
-    :func:`repro.core.knn_best_first.nearest_best_first` (same contract as
-    :func:`packed_nearest_dfs`, including the traced and budgeted
-    dispatches)."""
-    query = as_point(point)
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    stats = SearchStats()
-    # Compile-time corrupt-page skips degrade every query on the
-    # snapshot; see packed_nearest_dfs.
-    stats.pages_skipped_corrupt = ptree.pages_skipped_corrupt
-    if ptree.size == 0:
+    :func:`repro.core.knn_best_first.nearest_best_first` (same contract
+    and the same loop selection as :func:`packed_nearest_dfs`)."""
+    query, stats, slots, shrink_sq = _begin_query(ptree, point, k, epsilon)
+    if not slots:
         return [], stats
-    dim = ptree.dimension
-    if dim != len(query):
-        raise DimensionMismatchError(dim, len(query), "query point")
-
-    shrink_sq = 1.0 / (1.0 + epsilon) ** 2
-    if budget is not None:
-        from repro.packed.budgeted import budgeted_best_first
-
-        clock = budget.start()
-        heap, frontier_sq = budgeted_best_first(
-            ptree, query, k, shrink_sq, tracker, stats, clock, trace
-        )
-        if trace is not None:
-            trace.skips(ptree.pages_skipped_corrupt)
-        if clock.reason:
-            finish_truncated(stats, budget, clock.reason, frontier_sq)
-        return _heap_to_neighbors(ptree, heap), stats
-    if trace is not None:
-        from repro.packed.traced import traced_best_first
-
-        heap = traced_best_first(
-            ptree, query, k, shrink_sq, tracker, stats, trace
-        )
-        trace.skips(ptree.pages_skipped_corrupt)
-        return _heap_to_neighbors(ptree, heap), stats
-    if dim == 2:
+    if ptree.dimension == 2 and trace is None and budget is None:
         heap = _best_first_2d(
-            ptree, query[0], query[1], k, shrink_sq, tracker, stats
+            ptree, query[0], query[1], slots, shrink_sq, tracker, stats
         )
-    else:
-        heap = _best_first_nd(ptree, query, k, shrink_sq, tracker, stats)
-    return _heap_to_neighbors(ptree, heap), stats
+        return _heap_to_neighbors(ptree, heap), stats
+    clock = budget.start() if budget is not None else None
+    heap, frontier_sq = _best_first_general(
+        ptree, query, slots, shrink_sq, tracker, stats, clock, trace
+    )
+    return _finish_instrumented(
+        ptree, heap, frontier_sq, stats, trace, budget, clock
+    )
 
 
 def run_packed_query(
@@ -636,7 +624,7 @@ def _dfs_2d_general(
     return heap
 
 
-def _dfs_nd_general(
+def _dfs_general(
     ptree: PackedTree,
     query: Sequence[float],
     k: int,
@@ -646,8 +634,26 @@ def _dfs_nd_general(
     slack: float,
     tracker: Optional[AccessTracker],
     stats: SearchStats,
-) -> List[tuple]:
-    """Any-dimension DFS covering every ordering/pruning/epsilon combo."""
+    clock: Optional[BudgetClock],
+    trace: Optional["Trace"],
+) -> Tuple[List[tuple], float]:
+    """Any-dimension DFS covering every ordering/pruning/epsilon combo,
+    charging *clock* once per node visit and emitting the full *trace*
+    event stream when given either.  Returns the candidate heap and the
+    frontier bound — ``inf`` unless the clock refused.
+
+    Truncation-point parity: the object DFS charges at ``visit()`` entry,
+    which a node reaches only after surviving its parent's P3 re-check;
+    this loop charges after the pop-time P3 re-check passes.  The two
+    charge sequences are therefore identical, so under a deterministic
+    ``max_pages`` budget both kernels truncate at the same node — and the
+    abandoned set (the refused node plus everything still on the explicit
+    stack) is exactly the set the object kernel's unwinding folds into
+    its frontier, giving bit-identical frontier bounds too.
+
+    The stack carries ``(..., depth)`` so every event gets the
+    root-relative depth the object kernels derive from ``node.level``.
+    """
     kinds = ptree.kinds
     starts = ptree.starts
     refs = ptree.refs
@@ -662,6 +668,7 @@ def _dfs_nd_general(
     dim = ptree.dimension
     twodim = 2 * dim
     q = tuple(query)
+    charge = clock.charge if clock is not None else None
 
     minmax_bound = _INF
     heap: List[tuple] = [_SENTINEL] * k
@@ -669,17 +676,30 @@ def _dfs_nd_general(
     counter = 0
     leaves = internals = objects = branch_total = 0
     p1 = p2 = p3 = 0
-    stack: List[tuple] = [(0.0, 0)]
+    frontier = _INF
+    stack: List[tuple] = [(0.0, 0, 0)]  # (mindist_sq, node_index, depth)
     pop = stack.pop
     while stack:
-        md, ni = pop()
+        md, ni, depth = pop()
         if use_p3:
             bound = worst * shrink_sq
             if use_p2 and minmax_bound < bound:
                 bound = minmax_bound
             if md > bound * slack:
                 p3 += 1
+                if trace is not None:
+                    trace.prune("p3", depth, page_ids[ni], md, bound)
                 continue
+        if charge is not None and charge():
+            # Budget exhausted.  The refused node and everything still
+            # stacked are exactly the subtrees the search abandons;
+            # their MINDISTs lower-bound their contents, so the minimum
+            # is a sound frontier (no P3 re-filtering — conservative).
+            frontier = md
+            for rem_md, _rem_ni, _rem_depth in stack:
+                if rem_md < frontier:
+                    frontier = rem_md
+            break
         s = starts[ni]
         e = starts[ni + 1]
         base = s * twodim
@@ -688,6 +708,8 @@ def _dfs_nd_general(
             if track is not None:
                 track(page_ids[ni], True)
             leaves += 1
+            if trace is not None:
+                trace.enter(depth, page_ids[ni], True, md)
             objects += e - s
             points_mode = kind == 2
             for i in range(s, e):
@@ -713,11 +735,17 @@ def _dfs_nd_general(
                     counter += 1
                     heapreplace(heap, (-d, counter, i))
                     worst = -heap[0][0]
+                    if trace is not None:
+                        trace.accept(depth, d)
+            if trace is not None:
+                trace.exit(depth, page_ids[ni])
             continue
         # Internal node.
         if track is not None:
             track(page_ids[ni], False)
         internals += 1
+        if trace is not None:
+            trace.enter(depth, page_ids[ni], False, md)
         branch_total += e - s
         abl = []
         append = abl.append
@@ -769,6 +797,8 @@ def _dfs_nd_general(
         if use_p2 and min_minmax < minmax_bound:
             minmax_bound = min_minmax
             p2 += 1
+            if trace is not None:
+                trace.bound(depth, min_minmax)
         if use_p1 and abl:
             p1_bound = min_minmax * slack
             kept = []
@@ -777,11 +807,18 @@ def _dfs_nd_general(
                     kept.append(b)
                 else:
                     p1 += 1
+                    if trace is not None:
+                        trace.prune(
+                            "p1", depth + 1, page_ids[b[2]], b[1], min_minmax
+                        )
             abl = kept
         abl.sort(key=_key0)
+        child_depth = depth + 1
         for j in range(len(abl) - 1, -1, -1):
             b = abl[j]
-            stack.append((b[1], b[2]))
+            stack.append((b[1], b[2], child_depth))
+        if trace is not None:
+            trace.exit(depth, page_ids[ni])
 
     stats.nodes_accessed = leaves + internals
     stats.leaf_accesses = leaves
@@ -791,7 +828,7 @@ def _dfs_nd_general(
     stats.pruning.p1_pruned = p1
     stats.pruning.p2_bound_updates = p2
     stats.pruning.p3_pruned = p3
-    return heap
+    return heap, frontier
 
 
 # ----------------------------------------------------------------------
@@ -903,15 +940,23 @@ def _best_first_2d(
     return heap
 
 
-def _best_first_nd(
+def _best_first_general(
     ptree: PackedTree,
     query: Sequence[float],
     k: int,
     shrink_sq: float,
     tracker: Optional[AccessTracker],
     stats: SearchStats,
-) -> List[tuple]:
-    """Any-dimension best-first search over the slabs."""
+    clock: Optional[BudgetClock],
+    trace: Optional["Trace"],
+) -> Tuple[List[tuple], float]:
+    """Any-dimension best-first search, instrumented like
+    :func:`_dfs_general`.  The budget check sits after the worst-bound
+    break test, matching the object kernel; on refusal the frontier is
+    the popped key — the heap minimum, which lower-bounds everything
+    still pending.  Iterative, so exit events are elided like the object
+    best-first kernel's.
+    """
     kinds = ptree.kinds
     starts = ptree.starts
     refs = ptree.refs
@@ -921,16 +966,21 @@ def _best_first_nd(
     dim = ptree.dimension
     twodim = 2 * dim
     q = tuple(query)
+    charge = clock.charge if clock is not None else None
 
     heap: List[tuple] = [_SENTINEL] * k
     worst = _INF
     counter = 0
     leaves = internals = objects = branch_total = p3 = 0
+    frontier = _INF
     ncounter = 0
-    nheap: List[tuple] = [(0.0, 0, 0)]
+    nheap: List[tuple] = [(0.0, 0, 0, 0)]  # (key_sq, tie, node_index, depth)
     while nheap:
-        key_sq, _tie, ni = heappop(nheap)
+        key_sq, _tie, ni, depth = heappop(nheap)
         if key_sq >= worst * shrink_sq:
+            break
+        if charge is not None and charge():
+            frontier = key_sq
             break
         s = starts[ni]
         e = starts[ni + 1]
@@ -940,6 +990,8 @@ def _best_first_nd(
             if track is not None:
                 track(page_ids[ni], True)
             leaves += 1
+            if trace is not None:
+                trace.enter(depth, page_ids[ni], True, key_sq)
             objects += e - s
             points_mode = kind == 2
             for i in range(s, e):
@@ -965,11 +1017,16 @@ def _best_first_nd(
                     counter += 1
                     heapreplace(heap, (-d, counter, i))
                     worst = -heap[0][0]
+                    if trace is not None:
+                        trace.accept(depth, d)
             continue
         if track is not None:
             track(page_ids[ni], False)
         internals += 1
+        if trace is not None:
+            trace.enter(depth, page_ids[ni], False, key_sq)
         branch_total += e - s
+        child_depth = depth + 1
         for i in range(s, e):
             d = 0.0
             for j in range(dim):
@@ -986,9 +1043,14 @@ def _best_first_nd(
             base += twodim
             if d < worst * shrink_sq:
                 ncounter += 1
-                heappush(nheap, (d, ncounter, refs[i]))
+                heappush(nheap, (d, ncounter, refs[i], child_depth))
             else:
                 p3 += 1
+                if trace is not None:
+                    trace.prune(
+                        "p3", child_depth, page_ids[refs[i]], d,
+                        worst * shrink_sq,
+                    )
 
     stats.nodes_accessed = leaves + internals
     stats.leaf_accesses = leaves
@@ -996,4 +1058,4 @@ def _best_first_nd(
     stats.objects_examined = objects
     stats.branch_entries_considered = branch_total
     stats.pruning.p3_pruned = p3
-    return heap
+    return heap, frontier

@@ -35,6 +35,7 @@ from repro.core.stats import SearchStats
 from repro.datasets import uniform_points
 from repro.errors import DeadlineExceeded, InvalidParameterError
 from repro.geometry.rect import Rect
+from repro.obs import Trace
 from repro.packed.kernels import packed_nearest_best_first, packed_nearest_dfs
 from repro.rtree.disk import build_disk_index
 
@@ -236,11 +237,19 @@ class TestPackedObjectTruncationParity:
     """The packed kernels must truncate at the *same charge* as the
     object kernels — identical neighbors, stats, and frontier."""
 
+    DIM = 2
+    QUERIES = [(0.3, 0.7), (0.9, 0.1)]
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        points = uniform_points(1200, seed=5, dimension=self.DIM)
+        tree = build_point_tree(points, max_entries=8)
+        return tree, tree.packed()
+
     @pytest.mark.parametrize("algorithm", ["dfs", "best-first"])
-    def test_bit_identical_truncation(self, workload, algorithm):
-        points, tree, items = workload
-        ptree = tree.packed()
-        for q in [(0.3, 0.7), (0.9, 0.1)]:
+    def test_bit_identical_truncation(self, trees, algorithm):
+        tree, ptree = trees
+        for q in self.QUERIES:
             for pages in (1, 3, 7, 15, 200):
                 budget = Budget(max_pages=pages)
                 if algorithm == "dfs":
@@ -261,6 +270,42 @@ class TestPackedObjectTruncationParity:
                 assert pstats.truncation_reason == ostats.truncation_reason
                 assert pstats.frontier_sq == ostats.frontier_sq
                 assert pstats.nodes_accessed == ostats.nodes_accessed
+
+    @pytest.mark.parametrize("algorithm", ["dfs", "best-first"])
+    def test_trace_and_budget_together(self, trees, algorithm):
+        """A query carrying both hooks truncates where the budget-only
+        query does, and its event stream stops where the object
+        kernel's does."""
+        tree, ptree = trees
+        obj_kernel, pk_kernel = (
+            (nearest_dfs, packed_nearest_dfs) if algorithm == "dfs"
+            else (nearest_best_first, packed_nearest_best_first)
+        )
+        for q in self.QUERIES:
+            for pages in (1, 3, 7, 15, 200):
+                budget = Budget(max_pages=pages)
+                obj_trace, pk_trace = Trace(), Trace()
+                obj, ostats = obj_kernel(
+                    tree, q, k=10, budget=budget, trace=obj_trace
+                )
+                pk, pstats = pk_kernel(
+                    ptree, q, k=10, budget=budget, trace=pk_trace
+                )
+                plain, plain_stats = pk_kernel(ptree, q, k=10, budget=budget)
+                assert [n.payload for n in pk] == [n.payload for n in obj]
+                assert [n.payload for n in pk] == [n.payload for n in plain]
+                assert pstats == ostats == plain_stats
+                assert pk_trace.pages_entered() == pstats.nodes_accessed
+                assert [e for e in pk_trace.events if e[0] != "exit"] == [
+                    e for e in obj_trace.events if e[0] != "exit"
+                ]
+
+
+class TestPackedObjectTruncationParity3D(TestPackedObjectTruncationParity):
+    """3-D: the general loop serves budgeted and unbudgeted queries alike."""
+
+    DIM = 3
+    QUERIES = [(0.3, 0.7, 0.5), (0.9, 0.1, 0.2)]
 
 
 class TestRaiseMode:

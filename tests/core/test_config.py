@@ -35,6 +35,15 @@ class TestEagerValidation:
         with pytest.raises(InvalidParameterError):
             QueryConfig(epsilon=-0.1)
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # NaN/inf used to construct, then make best-first answer with
+        # zero neighbors and no error.
+        with pytest.raises(InvalidParameterError):
+            QueryConfig(epsilon=float(epsilon))
+        with pytest.raises(InvalidParameterError):
+            QueryConfig().replace(epsilon=float(epsilon))
+
     def test_non_callable_object_distance_rejected(self):
         with pytest.raises(InvalidParameterError):
             QueryConfig(object_distance_sq="not-a-function")

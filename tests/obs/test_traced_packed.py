@@ -1,13 +1,15 @@
-"""Traced packed kernels and the corrupt-page propagation sweep.
+"""Instrumented packed queries and the corrupt-page propagation sweep.
 
 Two contracts:
 
-1. The traced packed kernels (``repro.packed.traced``) return the same
-   neighbors and ``SearchStats`` as the untraced packed kernels and the
-   object kernels, for every algorithm/ordering/pruning/epsilon combo —
-   and their trace streams match the object kernels' event-for-event
-   (modulo ``exit`` placement, which differs between recursion and an
-   explicit stack).
+1. A packed query carrying a trace, a budget, both or neither returns
+   the same neighbors and ``SearchStats`` (truncation point and frontier
+   included) as the object kernels, for every algorithm/ordering/
+   pruning/epsilon combo in 2-D and 3-D — and its trace stream matches
+   the object kernels' event-for-event (modulo ``exit`` placement, which
+   differs between recursion and an explicit stack).  The entry points
+   pick one of five loops from ``dim``/``trace``/``budget``; this grid
+   pins every cell of that choice through the public doors only.
 2. ``pages_skipped_corrupt`` propagates through the packed kernels and
    the ``nearest_batch`` merge paths identically to the object kernels
    (the instrumenting-sweep bugfix), exercised with
@@ -20,6 +22,7 @@ import pytest
 
 from repro import bulk_load
 from repro.core.batch import nearest_batch
+from repro.core.budget import Budget
 from repro.core.knn_best_first import nearest_best_first
 from repro.core.knn_dfs import nearest_dfs
 from repro.core.pruning import PruningConfig
@@ -36,19 +39,36 @@ pytestmark = [pytest.mark.obs, pytest.mark.packed]
 
 QUERIES = [(500.0, 500.0), (50.0, 950.0), (700.0, 120.0)]
 
+DFS_CELLS = [
+    (ordering, pruning)
+    for ordering in ("mindist", "minmaxdist")
+    for pruning in (None, PruningConfig.none(), PruningConfig.all())
+]
 
-@pytest.fixture(scope="module")
-def tree():
-    points = uniform_points(800, seed=91)
+
+def _queries(dim):
+    return [q + (300.0,) * (dim - 2) for q in QUERIES]
+
+
+@pytest.fixture(scope="class")
+def tree(request):
+    dim = getattr(request.cls, "DIM", 2)
+    points = uniform_points(800, seed=91, dimension=dim)
     return bulk_load([(p, i) for i, p in enumerate(points)], max_entries=8)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def ptree(tree):
     return PackedTree.from_tree(tree)
 
 
+def _events(trace):
+    return [e for e in trace.events if e[0] != "exit"]
+
+
 class TestTracedEquivalence:
+    DIM = 2
+
     @pytest.mark.parametrize("ordering", ["mindist", "minmaxdist"])
     @pytest.mark.parametrize(
         "pruning", [None, PruningConfig.none(), PruningConfig.all()]
@@ -57,7 +77,7 @@ class TestTracedEquivalence:
     def test_traced_dfs_matches_untraced_and_object(
         self, tree, ptree, ordering, pruning, k
     ):
-        for query in QUERIES:
+        for query in _queries(self.DIM):
             trace = Trace()
             tr_nb, tr_stats = packed_nearest_dfs(
                 ptree, query, k=k, ordering=ordering, pruning=pruning,
@@ -81,7 +101,7 @@ class TestTracedEquivalence:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5])
     def test_traced_best_first_matches(self, tree, ptree, epsilon):
-        for query in QUERIES:
+        for query in _queries(self.DIM):
             trace = Trace()
             tr_nb, tr_stats = packed_nearest_best_first(
                 ptree, query, k=4, epsilon=epsilon, trace=trace
@@ -101,16 +121,48 @@ class TestTracedEquivalence:
         """Same traversal → same events (exits excluded: recursion emits
         them post-subtree, the explicit stack pre-push)."""
         for k in (1, 5):
-            for query in QUERIES:
+            for query in _queries(self.DIM):
                 obj_trace = Trace()
                 nearest_dfs(tree, query, k=k, trace=obj_trace)
                 pk_trace = Trace()
                 packed_nearest_dfs(ptree, query, k=k, trace=pk_trace)
-                obj_events = [
-                    e for e in obj_trace.events if e[0] != "exit"
-                ]
-                pk_events = [e for e in pk_trace.events if e[0] != "exit"]
-                assert pk_events == obj_events
+                assert _events(pk_trace) == _events(obj_trace)
+
+    @pytest.mark.parametrize("pages", [None, 1, 3, 7, 15, 200])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_every_instrumentation_cell_matches_object(
+        self, tree, ptree, traced, pages
+    ):
+        """{trace, none} x {max_pages, none} x every DFS cell + best-first:
+        same neighbors, whole ``SearchStats`` (truncation flag, reason and
+        frontier included) and event stream as the object kernels."""
+        budget = Budget(max_pages=pages) if pages is not None else None
+
+        def run(kernel, index, query, k, **kwargs):
+            trace = Trace() if traced else None
+            neighbors, stats = kernel(
+                index, query, k=k, trace=trace, budget=budget, **kwargs
+            )
+            return (
+                [(n.payload, n.distance) for n in neighbors],
+                stats,
+                _events(trace) if traced else None,
+            )
+
+        for query in _queries(self.DIM):
+            for k in (1, 5):
+                for ordering, pruning in DFS_CELLS:
+                    cell = dict(ordering=ordering, pruning=pruning)
+                    assert run(
+                        packed_nearest_dfs, ptree, query, k, **cell
+                    ) == run(nearest_dfs, tree, query, k, **cell)
+                for epsilon in (0.0, 0.5):
+                    assert run(
+                        packed_nearest_best_first, ptree, query, k,
+                        epsilon=epsilon,
+                    ) == run(
+                        nearest_best_first, tree, query, k, epsilon=epsilon
+                    )
 
     def test_nd_general_traced_path(self):
         points = [(float(i % 17), float(i % 13), float(i % 7))
@@ -127,6 +179,13 @@ class TestTracedEquivalence:
         assert [n.payload for n in tr_nb] == [n.payload for n in obj_nb]
         assert tr_stats == obj_stats
         assert trace.pages_entered() == tr_stats.nodes_accessed
+
+
+class TestTracedEquivalence3D(TestTracedEquivalence):
+    """The same grid on 3-D data, where untraced queries share the
+    general loop with traced and budgeted ones."""
+
+    DIM = 3
 
 
 class TestCorruptSkipPropagation:

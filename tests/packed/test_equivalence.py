@@ -12,16 +12,23 @@ import pytest
 
 from repro.audit.backends import build_memory_tree
 from repro.audit.workloads import make_workload
+from repro.core.budget import Budget
+from repro.core.config import QueryConfig
 from repro.core.knn_best_first import nearest_best_first
 from repro.core.knn_dfs import nearest_dfs
 from repro.core.pruning import PruningConfig
+from repro.datasets.synthetic import uniform_points
 from repro.geometry.rect import Rect
+from repro.obs import Trace
+from repro.packed.batch import packed_nearest_batch
 from repro.packed.kernels import (
     packed_nearest_best_first,
     packed_nearest_dfs,
 )
 from repro.packed.layout import PackedTree
 from repro.rtree.tree import RTree
+from repro.service.engine import QueryEngine
+from repro.service.options import EngineOptions
 from repro.storage.tracker import CountingTracker
 
 pytestmark = pytest.mark.packed
@@ -184,6 +191,27 @@ def test_validation_errors_match_object_kernels():
         packed_nearest_dfs(packed, (1.0, 2.0), k=1, ordering="nope")
     with pytest.raises(InvalidParameterError):
         packed_nearest_dfs(packed, (1.0, 2.0), k=1, epsilon=-0.5)
+    # Non-finite epsilon and non-integral k: the same typed error at the
+    # packed, batch and object doors (best-first used to answer NaN/inf
+    # with zero neighbors; k=2.5 escaped as a bare TypeError).
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for kernel, index in (
+            (packed_nearest_dfs, packed),
+            (packed_nearest_best_first, packed),
+            (nearest_dfs, tree),
+            (nearest_best_first, tree),
+        ):
+            with pytest.raises(InvalidParameterError):
+                kernel(index, (1.0, 2.0), k=1, epsilon=bad)
+        with pytest.raises(InvalidParameterError):
+            packed_nearest_batch(packed, [(1.0, 2.0)], k=1, epsilon=bad)
+    for bad_k in (2.5, "3", None):
+        with pytest.raises(InvalidParameterError):
+            packed_nearest_dfs(packed, (1.0, 2.0), k=bad_k)
+        with pytest.raises(InvalidParameterError):
+            packed_nearest_best_first(packed, (1.0, 2.0), k=bad_k)
+        with pytest.raises(InvalidParameterError):
+            packed_nearest_batch(packed, [(1.0, 2.0)], k=bad_k)
     wrong_dim = (1.0,) * (packed.dimension + 1)
     with pytest.raises(DimensionMismatchError):
         packed_nearest_dfs(packed, wrong_dim, k=1)
@@ -197,3 +225,49 @@ def test_empty_tree_returns_empty():
     assert neighbors == [] and stats.nodes_accessed == 0
     neighbors, stats = packed_nearest_best_first(packed, (1.0, 2.0), k=5)
     assert neighbors == [] and stats.nodes_accessed == 0
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_huge_k_is_bounded_by_tree_size(dimension):
+    """``k`` far beyond ``n`` must not size the candidate heap.
+
+    Every packed door returns all ``n`` neighbors, bit-identical (stats
+    included) to the object kernels, without allocating ``k`` slots —
+    at ``k = 10**9`` the old ``[sentinel] * k`` prefill is ~8 GB.
+    """
+    points = uniform_points(300, seed=13, dimension=dimension)
+    tree = build_memory_tree(points)
+    packed = PackedTree.from_tree(tree)
+    huge = 10 ** 9
+    queries = [points[7], (500.0,) * dimension]
+    instrumented = ({}, {"trace": Trace()}, {"budget": Budget(max_pages=huge)})
+    for query in queries:
+        obj_dfs = nearest_dfs(tree, query, k=huge)
+        obj_bf = nearest_best_first(tree, query, k=huge)
+        assert len(obj_dfs[0]) == len(obj_bf[0]) == len(points)
+        for kwargs in instrumented:
+            _assert_identical(
+                packed_nearest_dfs(packed, query, k=huge, **kwargs), obj_dfs
+            )
+            _assert_identical(
+                packed_nearest_best_first(packed, query, k=huge, **kwargs),
+                obj_bf,
+            )
+    for vectorize in (False, None):
+        batch = packed_nearest_batch(
+            packed, queries, k=huge, vectorize=vectorize
+        )
+        for query, got in zip(queries, batch):
+            _assert_identical(got, nearest_best_first(tree, query, k=huge))
+    options = EngineOptions(packed=True, workers=1)
+    with QueryEngine(tree, options=options) as engine:
+        for algorithm, kernel in (
+            ("dfs", nearest_dfs), ("best-first", nearest_best_first)
+        ):
+            result = engine.query(
+                queries[1], config=QueryConfig(k=huge, algorithm=algorithm)
+            )
+            _assert_identical(
+                (result.neighbors, result.stats),
+                kernel(tree, queries[1], k=huge),
+            )

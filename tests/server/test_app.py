@@ -10,11 +10,12 @@ import time
 
 import pytest
 
+from repro.core.query import nearest
 from repro.obs.registry import MetricsRegistry
 from repro.server import ServerConfig
 from repro.service.resilience import ResilientEngine
 
-from tests.server.conftest import ITEMS, build_engine, certify
+from tests.server.conftest import ITEMS, build_engine, build_tree, certify
 
 pytestmark = pytest.mark.server
 
@@ -66,6 +67,26 @@ class TestQueryEndpoint:
             assert body["frontier_distance"] is not None
         certify(body, point, k, combo="query-budget")
 
+    def test_k_far_beyond_n_returns_everything(self, serve):
+        """``k`` is only type-checked at the door, so ``10**9`` reaches
+        the packed kernels; they must size their heap by the tree, not
+        by ``k``, and answer like the object kernel."""
+        harness = serve()
+        point = (0.25, 0.75)
+        status, _, body = harness.request_json(
+            "POST", "/query", {"point": list(point), "k": 10 ** 9}
+        )
+        assert status == 200
+        assert body["truncated"] is False
+        expected = nearest(build_tree(), point, k=10 ** 9)
+        assert [n["payload"] for n in body["neighbors"]] == [
+            n.payload for n in expected
+        ]
+        assert [n["distance"] for n in body["neighbors"]] == [
+            n.distance for n in expected
+        ]
+        assert len(body["neighbors"]) == len(ITEMS)
+
     def test_batch_endpoint(self, serve):
         harness = serve()
         points = [[0.1, 0.1], [0.9, 0.9], [0.5, 0.25]]
@@ -101,6 +122,11 @@ class TestValidation:
             ({"point": "oops"}, "point"),
             ({"point": [1, "x"]}, "point"),
             ({"point": [0.5, 0.5], "k": "three"}, "k"),
+            # json.loads accepts NaN/Infinity; these used to be a 200
+            # with an empty answer.
+            ({"point": [0.5, 0.5], "epsilon": float("nan")}, "epsilon"),
+            ({"point": [0.5, 0.5], "epsilon": float("inf")}, "epsilon"),
+            ({"point": [0.5, 0.5], "epsilon": float("-inf")}, "epsilon"),
         ],
     )
     def test_bad_query_payloads_are_400(self, serve, payload, fragment):
@@ -115,6 +141,19 @@ class TestValidation:
             "POST", "/query", {"point": [0.5, 0.5], "k": 0}
         )
         assert status == 400
+
+    def test_overflowing_epsilon_literal_is_400(self, serve):
+        # ``1e999`` parses to inf without any NaN/Infinity token.
+        harness = serve()
+        conn = harness.connection()
+        try:
+            conn.request(
+                "POST", "/query",
+                body='{"point": [0.5, 0.5], "k": 3, "epsilon": 1e999}',
+            )
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
 
     def test_non_json_body_is_400(self, serve):
         harness = serve()
