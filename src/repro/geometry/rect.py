@@ -15,7 +15,22 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 from repro.errors import DimensionMismatchError, GeometryError, InvalidRectError
 from repro.geometry.point import Point
 
-__all__ = ["Rect"]
+__all__ = ["Rect", "union_area"]
+
+
+def union_area(lo_a: Point, hi_a: Point, lo_b: Point, hi_b: Point) -> float:
+    """Area of the tightest box around boxes *a* and *b*, without building it.
+
+    Bit-identical to ``Rect(lo_a, hi_a).union(Rect(lo_b, hi_b)).area()`` —
+    the same bound wins each ``min``/``max`` and the extents are
+    multiplied left to right — so insertion and split heuristics can
+    score a candidate without allocating (and re-validating) a ``Rect``
+    they would only read the area of.  The caller checks dimensions.
+    """
+    result = 1.0
+    for a, b, c, d in zip(lo_a, lo_b, hi_a, hi_b):
+        result *= (d if d > c else c) - (b if b < a else a)
+    return result
 
 
 class Rect:
@@ -206,7 +221,8 @@ class Rect:
 
     def enlargement(self, other: "Rect") -> float:
         """Area increase needed to absorb *other* (Guttman's ChooseLeaf cost)."""
-        return self.union(other).area() - self.area()
+        self._check_dim(other)
+        return union_area(self.lo, self.hi, other.lo, other.hi) - self.area()
 
     def clamp_point(self, point: Sequence[float]) -> Point:
         """The point of this rectangle closest to *point* (the MINDIST witness)."""

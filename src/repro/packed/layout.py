@@ -143,12 +143,35 @@ class PackedTree:
     def from_tree(cls, tree: Any) -> "PackedTree":
         """Compile *tree* (an ``RTree`` or ``DiskRTree``) into slabs.
 
-        The compile is a single depth-first walk; for a ``DiskRTree`` it
+        The compile is a single breadth-first walk; for a ``DiskRTree`` it
         reads every page once (through the tree's page cache), after which
         queries on the snapshot touch no storage at all.  Entry order
         within each node is preserved, so the kernels reproduce the
         object kernels' traversal — and therefore their results and
         statistics — exactly.
+
+        Always a from-scratch compile that leaves the tree untouched; the
+        cached, incremental door is :meth:`RTree.packed()
+        <repro.rtree.tree.RTree.packed>`.
+        """
+        return cls._compile(tree, None, False)
+
+    @classmethod
+    def _compile(
+        cls, tree: Any, previous: Optional["PackedTree"], mark: bool
+    ) -> "PackedTree":
+        """The one compile loop, behind :meth:`from_tree` and ``RTree.packed()``.
+
+        *previous* is the tree's cached compile (or ``None``): a node whose
+        ``packed_index`` is non-negative has not changed since *previous*
+        was compiled, so its run is copied out of the old slabs by slice
+        instead of re-walked entry by entry.  Only the node's own run can
+        be copied — its position, its child indices and its payload
+        offsets all shift when anything before it in the walk grows — so
+        the result is slab-for-slab what a from-scratch compile returns.
+        With *mark* the walk records each node's index in the *new*
+        compile on the node, which binds the marks to the returned object:
+        the caller must cache it (or drop the cache if the walk raises).
         """
         dimension = tree.dimension
         size = len(tree)
@@ -186,13 +209,41 @@ class PackedTree:
         # distance ties exactly like the object kernel's stable sort.
         skipped_before = getattr(tree, "pages_skipped", 0)
         extend_coords = coords.extend
+        reuse = previous is not None
+        if reuse:
+            old_kinds = previous.kinds
+            old_starts = previous.starts
+            old_coords = previous.coords
+            old_refs = previous.refs
+            old_payloads = previous.payloads
+            old_rects = previous.rects
+            width = 2 * dimension
         queue = deque((tree.root,))
         next_index = 1
         while queue:
             node = queue.popleft()
             entries = node.entries
             page_ids.append(node.node_id)
-            if node.is_leaf:
+            if reuse and node.packed_index >= 0:
+                # Unchanged since *previous*: copy the run.  Leaf refs and
+                # BFS child indices are consecutive by construction, so
+                # both are re-derived as a range at the new offsets.
+                old = node.packed_index
+                begin = old_starts[old]
+                count = old_starts[old + 1] - begin
+                extend_coords(old_coords[width * begin:width * (begin + count)])
+                kind = old_kinds[old]
+                if kind == NODE_INTERNAL:
+                    refs.extend(range(next_index, next_index + count))
+                    next_index += count
+                    queue.extend([entry.child for entry in entries])
+                else:
+                    first = old_refs[begin]
+                    refs.extend(range(len(payloads), len(payloads) + count))
+                    payloads.extend(old_payloads[first:first + count])
+                    rects.extend(old_rects[first:first + count])
+                kinds.append(kind)
+            elif node.is_leaf:
                 all_points = True
                 for entry in entries:
                     rect = entry.rect
@@ -217,6 +268,8 @@ class PackedTree:
                     refs.append(next_index)
                     next_index += 1
                     queue.append(entry.child)
+            if mark:
+                node.packed_index = len(kinds) - 1
             starts.append(starts[-1] + len(entries))
         return cls(
             dimension=dimension,

@@ -323,6 +323,7 @@ class _DiskNode(Node):
         # Intentionally skip Node.__init__: entries are lazy.
         self.node_id = page_id
         self.level = level
+        self.packed_index = -1
         self._tree = tree
 
     @property

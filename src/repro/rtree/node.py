@@ -18,14 +18,22 @@ class Node:
     level 1, and so on up to the root.  ``node_id`` is the page identifier
     used for access tracking; it is assigned by the owning tree and stable
     for the node's lifetime.
+
+    ``packed_index`` is this node's index in the owning tree's *cached*
+    :class:`~repro.packed.PackedTree` compile while the node's entries are
+    unchanged since that compile, ``-1`` otherwise (new or mutated).  Only
+    :meth:`RTree.packed() <repro.rtree.tree.RTree.packed>` writes or reads
+    a non-negative value; the tree resets it on every node a mutation
+    touches.
     """
 
-    __slots__ = ("node_id", "level", "entries")
+    __slots__ = ("node_id", "level", "entries", "packed_index")
 
     def __init__(self, node_id: int, level: int, entries: Optional[List[Entry]] = None) -> None:
         self.node_id = node_id
         self.level = level
         self.entries: List[Entry] = entries if entries is not None else []
+        self.packed_index = -1
 
     @property
     def is_leaf(self) -> bool:

@@ -109,9 +109,10 @@ class RTree:
         self._dimension: Optional[int] = None
         self._node_count = 0
         self._epoch = 0
-        # Epoch-keyed PackedTree compile, built lazily by packed().  The
-        # lock only guards the cache slot (compiles may briefly duplicate
-        # under contention; the last writer wins and both are correct).
+        # Epoch-keyed PackedTree compile, built lazily by packed() while
+        # holding the lock: one compile per epoch however many readers
+        # ask at once.  Every node's ``packed_index`` refers to this
+        # object and nothing else.
         self._packed_cache: Optional[Any] = None
         self._packed_lock = threading.Lock()
         self.root = self._new_node(level=0)
@@ -165,21 +166,28 @@ class RTree:
         """The :class:`~repro.packed.PackedTree` compile of the current epoch.
 
         Built lazily on first call and cached; any mutation (insert,
-        delete, clear) bumps :attr:`epoch`, and the next call recompiles.
-        The returned object is immutable and safe to query from any
-        thread — including while this tree keeps mutating.
+        delete, clear) bumps :attr:`epoch`, and the next call recompiles
+        — incrementally: nodes no mutation touched since the cached
+        compile are copied out of its slabs, only the touched ones are
+        re-walked, and the result is indistinguishable from
+        ``PackedTree.from_tree(self)``.  Concurrent callers wait for one
+        compile rather than each running their own.  The returned object
+        is immutable and safe to query from any thread — including while
+        this tree keeps mutating.
         """
         from repro.packed.layout import PackedTree
 
-        epoch = self._epoch
         with self._packed_lock:
             cached = self._packed_cache
-            if cached is not None and cached.epoch == epoch:
+            if cached is not None and cached.epoch == self._epoch:
                 return cached
-        compiled = PackedTree.from_tree(self)
-        with self._packed_lock:
+            # The walk re-marks nodes against the compile it is building;
+            # if it dies halfway the marks index neither compile, and an
+            # empty cache is what makes the next walk ignore them.
+            self._packed_cache = None
+            compiled = PackedTree._compile(self, cached, True)
             self._packed_cache = compiled
-        return compiled
+            return compiled
 
     def bounds(self) -> Rect:
         """MBR of the whole tree; raises :class:`EmptyIndexError` if empty."""
@@ -245,6 +253,7 @@ class RTree:
         pending: List[Tuple[Entry, int]],
     ) -> Optional[Node]:
         """Recursive insert; returns a split-off sibling of *node*, if any."""
+        node.packed_index = -1
         if node.level == target_level:
             node.entries.append(entry)
         else:
@@ -391,6 +400,8 @@ class RTree:
     def _condense(self, path: List[Node]) -> None:
         """Guttman's CondenseTree: dissolve underfull nodes, reinsert orphans."""
         orphans: List[Tuple[Entry, int]] = []
+        for node in path:
+            node.packed_index = -1
         # Walk from the leaf upward; path[0] is the root.
         for depth in range(len(path) - 1, 0, -1):
             node = path[depth]

@@ -1,9 +1,12 @@
 """Property-based tests for the geometric primitives (hypothesis)."""
 
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import DimensionMismatchError
 from repro.geometry.point import euclidean
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -79,6 +82,34 @@ def test_enlargement_nonnegative(data):
     a = data.draw(rects(dimension=dim))
     b = data.draw(rects(dimension=dim))
     assert a.enlargement(b) >= -1e-6
+
+
+@given(st.data())
+def test_enlargement_is_the_two_step_form_without_the_rect(data):
+    """``enlargement`` reads the union's area without building the union,
+    and the float it returns is the one ``union(...).area() - area()``
+    would — equal, not approximately equal: R-tree insertion breaks ties
+    on it."""
+    dim = data.draw(st.integers(1, 4))
+    extent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5))
+
+    def draw_rect():
+        lo = [data.draw(finite) for _ in range(dim)]
+        return Rect(lo, [c + data.draw(extent) for c in lo])
+
+    a = draw_rect()
+    b = a if data.draw(st.booleans()) else draw_rect()
+    two_step = a.union(b).area() - a.area()
+    with mock.patch.object(Rect, "union") as union:
+        assert a.enlargement(b) == two_step
+    assert not union.called
+    if a is b:
+        assert two_step == 0.0
+
+
+def test_enlargement_still_checks_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        Rect((0.0,), (1.0,)).enlargement(Rect((0.0, 0.0), (1.0, 1.0)))
 
 
 @given(st.data())

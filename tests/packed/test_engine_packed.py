@@ -9,6 +9,8 @@ from repro import (
     nearest_batch,
 )
 from repro.baselines.kdtree import KdTree
+from repro.baselines.linear_scan import linear_scan
+from repro.geometry.rect import Rect
 from repro.errors import InvalidParameterError
 
 pytestmark = [pytest.mark.packed, pytest.mark.service]
@@ -102,6 +104,34 @@ class TestEnginePacked:
             for a, b in zip(pk.query_batch(queries), obj.query_batch(queries)):
                 assert a.payloads() == b.payloads()
                 assert a.stats == b.stats
+
+    def test_multiworker_churn_matches_linear_scan(self):
+        """Writes interleaved with four-worker read windows: every window
+        after a write is answered from an incrementally recompiled slab
+        set and must still be the exact answer."""
+        tree = _tree(300)
+        queries = _queries(24)
+        live = list(tree.items())
+        with QueryEngine(
+            tree, config=QueryConfig(k=5), workers=4, packed=True, cache_size=0
+        ) as engine:
+            for step in range(60):
+                if step % 3 == 2:
+                    rect, payload = live.pop((step * 7) % len(live))
+                    assert engine.delete(rect, payload)
+                else:
+                    x, y = float((step * 29) % 101), float((step * 31) % 97)
+                    rect = (
+                        Rect((x, y), (x + 1.5, y + 0.5))
+                        if step % 4 == 0
+                        else Rect.from_point((x + 0.5, y))
+                    )
+                    engine.insert(rect, payload=10_000 + step)
+                    live.append((rect, 10_000 + step))
+                for query, result in zip(queries, engine.query_batch(queries)):
+                    expected = linear_scan(tree, query, k=5)
+                    assert result.distances() == [n.distance for n in expected]
+            assert len(tree) == len(live)
 
     def test_packed_requires_compilable_tree(self):
         points = [(float(i), float(i)) for i in range(10)]
