@@ -1,6 +1,6 @@
 """Benchmark harness reproducing the paper's evaluation.
 
-Each experiment (E1-E7, see DESIGN.md section 4) is a registered
+Each experiment (E1-E14, see DESIGN.md section 4) is a registered
 :class:`~repro.bench.experiments.Experiment` that builds its workload,
 sweeps its parameter, and returns paper-style tables.  Run them via::
 

@@ -1,4 +1,4 @@
-"""The paper's evaluation, experiment by experiment (E1-E7).
+"""The paper's evaluation, experiment by experiment (E1-E14).
 
 Each experiment owns one figure or table of the SIGMOD'95 evaluation (see
 the index in DESIGN.md section 4).  Experiments are pure functions of a
@@ -20,7 +20,6 @@ from repro.baselines.quadtree import QuadTree
 from repro.baselines.linear_scan import linear_scan_items
 from repro.bench.harness import (
     build_tree,
-    kernel_floor,
     points_as_items,
     run_query_batch,
 )
@@ -814,722 +813,6 @@ def _run_e14(scale: Scale) -> List[Table]:
     return [table]
 
 
-# ----------------------------------------------------------------------
-# E15 — packed struct-of-arrays kernel vs the object-graph kernels
-# ----------------------------------------------------------------------
-def _run_e15(scale: Scale) -> List[Table]:
-    from repro.core.knn_dfs import nearest_dfs
-    from repro.core.metrics import (
-        maxdist_squared,
-        mindist_squared,
-        minmaxdist_squared,
-    )
-    from repro.packed.layout import PackedTree
-    from repro.packed.kernels import packed_nearest_dfs
-    from repro.storage.pager import PageModel
-
-    n = scale.base_size
-    k = 10
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    items = _uniform_items(n)
-
-    table = Table(
-        f"E15: packed struct-of-arrays kernel (uniform n={n}, k={k}, "
-        f"{scale.queries} queries)",
-        [
-            "page size",
-            "fanout",
-            "object ms/q",
-            "packed ms/q",
-            "speedup",
-            "slabs KiB",
-            "compile ms",
-        ],
-        caption=(
-            "Median-free best-of-5 wall clock over the query batch, object "
-            "and packed runs interleaved so CPU noise hits both equally.  "
-            "Same traversal, same results, same SearchStats — the packed "
-            "kernel just walks flat coordinate slabs with inline metrics "
-            "instead of the Node/Entry/Rect object graph.  4 KiB is the "
-            "common OS page size; the higher fanout amplifies the per-entry "
-            "cost gap."
-        ),
-    )
-    for page_size in (1024, 4096):
-        model = PageModel(page_size=page_size)
-        tree = build_tree(items, page_model=model)
-        start = time.perf_counter()
-        ptree = PackedTree.from_tree(tree)
-        compile_ms = (time.perf_counter() - start) * 1e3
-
-        # Parity check first: the speedup claim is only meaningful if the
-        # packed kernel returns the exact object-kernel answer.
-        for q in queries[: min(8, len(queries))]:
-            obj_res = nearest_dfs(tree, q, k=k)
-            pk_res = packed_nearest_dfs(ptree, q, k=k)
-            if (
-                [nb.payload for nb in obj_res[0]]
-                != [nb.payload for nb in pk_res[0]]
-                or obj_res[1] != pk_res[1]
-            ):  # pragma: no cover - equivalence is test-enforced
-                raise InvalidParameterError(
-                    f"packed kernel diverged from object kernel at "
-                    f"page_size={page_size}, query={q}"
-                )
-
-        object_s = math.inf
-        packed_s = math.inf
-        for _ in range(5):
-            start = time.perf_counter()
-            for q in queries:
-                nearest_dfs(tree, q, k=k)
-            object_s = min(object_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            for q in queries:
-                packed_nearest_dfs(ptree, q, k=k)
-            packed_s = min(packed_s, time.perf_counter() - start)
-        per_query = 1e3 / len(queries)
-        table.add_row(
-            f"{page_size} B",
-            tree.max_entries,
-            object_s * per_query,
-            packed_s * per_query,
-            object_s / packed_s,
-            ptree.nbytes() / 1024.0,
-            compile_ms,
-        )
-
-    # Companion microbenchmark: the public metric bodies the kernels
-    # inline.  These switched from zip() tuple streams to indexed per-axis
-    # loops; the per-call numbers below are what every object-kernel
-    # entry visit pays (and what the packed kernels avoid entirely).
-    rect = Rect((480.0, 480.0), (520.0, 520.0))
-    point = (500.5, 430.25)
-    micro = Table(
-        "E15: point-to-MBR metric microbenchmark",
-        ["metric", "ns/call"],
-        caption=(
-            "Per-call latency of the (indexed-loop) public metrics on a "
-            "2-D rect; every entry the object kernels visit pays one of "
-            "these plus attribute/iterator overhead, which is the gap the "
-            "packed kernels close."
-        ),
-    )
-    calls = 20000
-    for name, fn in (
-        ("mindist_squared", mindist_squared),
-        ("minmaxdist_squared", minmaxdist_squared),
-        ("maxdist_squared", maxdist_squared),
-    ):
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(calls):
-                fn(point, rect)
-            best = min(best, time.perf_counter() - start)
-        micro.add_row(name, best / calls * 1e9)
-    return [table, micro]
-
-
-# ----------------------------------------------------------------------
-# E16 — tracer overhead and trace volume on the packed DFS hot path
-# ----------------------------------------------------------------------
-def _run_e16(scale: Scale) -> List[Table]:
-    from repro.obs.trace import Trace
-    from repro.packed.kernels import packed_nearest_dfs
-    from repro.packed.layout import PackedTree
-
-    n = scale.base_size
-    k = 10
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    tree = build_tree(_uniform_items(n))
-    ptree = PackedTree.from_tree(tree)
-
-    def _kernel_only() -> None:
-        # The raw hot loop with the dispatch layer peeled off: the floor
-        # the disabled-tracer public call is gated against.
-        kernel_floor(ptree, queries, k)
-
-    def _disabled() -> None:
-        for q in queries:
-            packed_nearest_dfs(ptree, q, k=k)
-
-    def _traced() -> None:
-        for q in queries:
-            packed_nearest_dfs(ptree, q, k=k, trace=Trace())
-
-    modes = [
-        ("kernel only", _kernel_only),
-        ("public, trace=None", _disabled),
-        ("public, traced", _traced),
-    ]
-    best = {name: math.inf for name, _ in modes}
-    for _ in range(5):  # interleaved best-of: noise hits all modes equally
-        for name, fn in modes:
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-
-    probe = Trace()
-    packed_nearest_dfs(ptree, queries[0], k=k, trace=probe)
-    events_per_query = [None, None, float(len(probe.events))]
-
-    per_query = 1e3 / len(queries)
-    floor = best["kernel only"]
-    table = Table(
-        f"E16: tracer overhead on the packed DFS hot path (uniform n={n}, "
-        f"k={k}, {scale.queries} queries)",
-        ["mode", "ms/q", "vs kernel", "events/q"],
-        caption=(
-            "Interleaved best-of-5 wall clock.  'kernel only' strips the "
-            "public dispatch layer (validation + the `trace is None` "
-            "test); the gap to 'public, trace=None' is everything disabled "
-            "tracing can possibly cost, gated <5% by `repro.bench obs`.  "
-            "Enabled tracing runs the general instrumented loop and "
-            "pays for event recording; its ratio bounds the price of "
-            "forensics, not of normal serving."
-        ),
-    )
-    for (name, _), events in zip(modes, events_per_query):
-        table.add_row(
-            name,
-            best[name] * per_query,
-            best[name] / floor,
-            "" if events is None else events,
-        )
-    return [table]
-
-
-# ----------------------------------------------------------------------
-# E17 — budget-check overhead and the overload-resilience soak
-# ----------------------------------------------------------------------
-def _run_e17(scale: Scale) -> List[Table]:
-    from repro.core.budget import Budget
-    from repro.packed.kernels import packed_nearest_dfs
-    from repro.packed.layout import PackedTree
-
-    n = scale.base_size
-    k = 10
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    tree = build_tree(_uniform_items(n))
-    ptree = PackedTree.from_tree(tree)
-    loose = Budget(max_pages=1_000_000_000)
-
-    def _kernel_only() -> None:
-        # The raw hot loop with the dispatch layer peeled off: the floor
-        # the no-budget public call is gated against.
-        kernel_floor(ptree, queries, k)
-
-    def _no_budget() -> None:
-        for q in queries:
-            packed_nearest_dfs(ptree, q, k=k)
-
-    def _budgeted() -> None:
-        for q in queries:
-            packed_nearest_dfs(ptree, q, k=k, budget=loose)
-
-    modes = [
-        ("kernel only", _kernel_only),
-        ("public, budget=None", _no_budget),
-        ("public, loose budget", _budgeted),
-    ]
-    best = {name: math.inf for name, _ in modes}
-    for _ in range(5):  # interleaved best-of: noise hits all modes equally
-        for name, fn in modes:
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-
-    per_query = 1e3 / len(queries)
-    floor = best["kernel only"]
-    overhead = Table(
-        f"E17: budget-check overhead on the packed DFS hot path (uniform "
-        f"n={n}, k={k}, {scale.queries} queries)",
-        ["mode", "ms/q", "vs kernel"],
-        caption=(
-            "Interleaved best-of-5 wall clock.  'kernel only' strips the "
-            "public dispatch layer; the gap to 'public, budget=None' is "
-            "everything the deadline/page-budget machinery can possibly "
-            "cost an unbudgeted query (one `budget is None` test), gated "
-            "<5% by `repro.bench resilience`.  A budgeted query runs the "
-            "general instrumented loop and pays one clock charge "
-            "per node visit — the price of cancellability, reported but "
-            "not gated."
-        ),
-    )
-    for name, _ in modes:
-        overhead.add_row(name, best[name] * per_query, best[name] / floor)
-
-    # The overload soak: fault injection + 4x-capacity admission storms,
-    # every served answer certified against the exact oracle.
-    from repro.chaos import ChaosConfig, run_soak
-
-    soak_queries = scale.queries * 100  # default scale: the 10k headline
-    report = run_soak(
-        ChaosConfig(seed=17, n_points=min(n, 8192), queries=soak_queries)
-    )
-    soak = Table(
-        f"E17: seeded chaos soak (seed 17, {soak_queries} queries, "
-        f"{report.config.overload_factor}x overload, faults injected)",
-        ["counter", "value"],
-        caption=(
-            "One run of `python -m repro.chaos`: clean-overload, "
-            "fault-storm and recovery segments against a disk tree "
-            "behind the admission controller.  Every non-truncated "
-            "answer is certified exact and every truncated answer a "
-            "sound prefix; 'violations' must be 0 and accounting must "
-            "conserve for the soak to pass."
-        ),
-    )
-    total_faults = sum(report.faults_injected.values())
-    for label, value in (
-        ("submitted", report.submitted),
-        ("served (oracle-certified)", report.oracle_checked),
-        ("served truncated", report.served_truncated),
-        ("shed by admission", report.shed),
-        ("failed", report.failed),
-        ("faults injected", total_faults),
-        ("corrupt pages skipped", report.pages_skipped),
-        ("breaker transitions", len(report.breaker_transitions)),
-        ("breaker loads refused", report.breaker_rejections),
-        ("peak brownout level", report.max_brownout_level),
-        ("wait p99 (ms)", round(report.wait_p99_ms, 2)),
-        ("service p99 (ms)", round(report.service_p99_ms, 2)),
-        ("invariant violations", len(report.violations)),
-        ("workers drained", int(report.workers_drained)),
-        ("passed", int(report.passed)),
-    ):
-        soak.add_row(label, value)
-    if not report.passed:  # pragma: no cover - soundness is test-enforced
-        raise InvalidParameterError(
-            "chaos soak failed inside E17: "
-            + "; ".join(report.violations[:3])
-        )
-    return [overhead, soak]
-
-
-# ----------------------------------------------------------------------
-# E18 — sharded multi-process scaling vs the thread engine
-# ----------------------------------------------------------------------
-def _run_e18(scale: Scale) -> List[Table]:
-    import os
-
-    from repro.service.engine import QueryEngine
-    from repro.service.options import EngineOptions
-    from repro.shard import ShardedQueryEngine
-
-    n = scale.base_size
-    k = 10
-    widths = (1, 2, 4)
-    items = _uniform_items(n)
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    tree = build_tree(items)
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
-
-    def _drain(engine: Any) -> float:
-        # The client-side harness: submit the whole batch, then collect.
-        # Keeping every query in flight is what lets the thread engine
-        # use its pool and the sharded engine overlap its processes.
-        start = time.perf_counter()
-        for fut in [engine.submit(q, k=k) for q in queries]:
-            fut.result()
-        return time.perf_counter() - start
-
-    engines: Dict[Tuple[str, int], Any] = {}
-    try:
-        for w in widths:
-            engines[("thread", w)] = QueryEngine(
-                tree,
-                options=EngineOptions(workers=w, cache_size=0, packed=True),
-            )
-            engines[("sharded", w)] = ShardedQueryEngine(
-                items=items,
-                shards=w,
-                options=EngineOptions(workers=1, cache_size=0),
-            )
-        # Parity before timing: every engine must reproduce the thread
-        # engine's payloads and distances bit-for-bit.
-        baseline = [engines[("thread", 1)].query(q, k=k) for q in queries]
-        diverged = 0
-        for key, engine in engines.items():
-            if key == ("thread", 1):
-                continue
-            for q, expect in zip(queries, baseline):
-                got = engine.query(q, k=k)
-                if [(nb.payload, nb.distance) for nb in got.neighbors] != [
-                    (nb.payload, nb.distance) for nb in expect.neighbors
-                ]:
-                    diverged += 1
-        if diverged:
-            raise InvalidParameterError(
-                f"E18 parity failure: {diverged} answers diverged from "
-                f"the single-worker thread engine"
-            )
-        best = {key: math.inf for key in engines}
-        for _ in range(3):  # interleaved best-of: noise lands everywhere
-            for key, engine in engines.items():
-                best[key] = min(best[key], _drain(engine))
-    finally:
-        for engine in engines.values():
-            engine.close()
-
-    table = Table(
-        f"E18: sharded multi-process scaling vs the thread engine "
-        f"(uniform n={n}, k={k}, {scale.queries} queries/batch, "
-        f"{cpus} CPU(s) visible)",
-        ["engine", "width", "qps", "vs own x1", "vs thread same-width"],
-        caption=(
-            "Batch QPS (interleaved best-of-3) for the GIL-bound thread "
-            "QueryEngine at 1/2/4 pool workers against the "
-            "ShardedQueryEngine at 1/2/4 worker processes over "
-            "shared-memory slabs.  Answer parity with the thread engine "
-            "is asserted bit-for-bit before any timing.  Scaling is "
-            "bounded by the CPUs the host exposes (recorded in the "
-            "title); the core-aware gate lives in `repro.bench shard`."
-        ),
-    )
-    for kind in ("thread", "sharded"):
-        own_base = best[(kind, widths[0])]
-        for w in widths:
-            elapsed = best[(kind, w)]
-            table.add_row(
-                kind,
-                w,
-                len(queries) / elapsed,
-                own_base / elapsed,
-                best[("thread", w)] / elapsed,
-            )
-    return [table]
-
-
-# ----------------------------------------------------------------------
-# E19 — front-door micro-batch coalescing over real sockets
-# ----------------------------------------------------------------------
-def _run_e19(scale: Scale) -> List[Table]:
-    import os
-
-    from repro.server.soak import run_soak
-    from repro.service.options import EngineOptions
-    from repro.shard import ShardedQueryEngine
-
-    n = scale.base_size
-    k = 10
-    # Only default/full run the tentpole's 10k-connection fleet (sharded
-    # over barrier-synchronized client subprocesses by run_soak); every
-    # smaller preset (quick, the test suite's tiny) keeps the fleet
-    # in-process for the pytest smoke.
-    full_fleet = scale.name in ("default", "full")
-    connections = 10000 if full_fleet else 200
-    per_connection = 2 if full_fleet else 3
-    reps = 3 if full_fleet else 2
-    items = _uniform_items(n)
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    exact = [linear_scan_items(items, q, k=k) for q in queries]
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
-
-    def _soak(coalesce: bool) -> Any:
-        # One shard: the engine lives in a single worker process behind
-        # the front door (the canonical RPC-isolated deployment), so
-        # coalescing's win is amortizing per-request IPC + dispatch
-        # overhead; the batch path fans out to every shard, so more
-        # shards would duplicate kernel work on small hosts.
-        return run_soak(
-            ShardedQueryEngine(
-                items=items,
-                shards=1,
-                # best-first engine default: coalesced windows compound
-                # with the worker's multi-query batch kernel — one slab
-                # traversal per window instead of one search per request.
-                config=QueryConfig(algorithm="best-first"),
-                options=EngineOptions(workers=1, cache_size=0),
-            ),
-            connections=connections,
-            requests_per_connection=per_connection,
-            points=queries,
-            exact=exact,
-            k=k,
-            coalesce=coalesce,
-        )
-
-    best: Dict[bool, Any] = {False: None, True: None}
-    violations: List[str] = []
-    for _ in range(reps):  # interleaved best-of: noise lands everywhere
-        for mode in (False, True):
-            report = _soak(mode)
-            violations.extend(report.violations)
-            if best[mode] is None or report.qps > best[mode].qps:
-                best[mode] = report
-    if violations:  # pragma: no cover - soundness is test-enforced
-        raise InvalidParameterError(
-            "E19 soak violations: " + "; ".join(violations[:3])
-        )
-
-    direct, coal = best[False], best[True]
-    table = Table(
-        f"E19: front-door micro-batch coalescing over real sockets "
-        f"(uniform n={n}, k={k}, {connections} connections x "
-        f"{per_connection} requests, 1 shard, {cpus} CPU(s) visible)",
-        [
-            "mode",
-            "qps",
-            "speedup",
-            "p50 ms",
-            "p99 ms",
-            "certified",
-            "errors",
-            "coalesced",
-            "largest batch",
-        ],
-        caption=(
-            "Real-socket soak of the asyncio HTTP front door over a "
-            "one-worker-process sharded engine: per-request dispatch "
-            "vs 1 ms micro-batch coalescing windows (interleaved "
-            f"best-of-{reps} per mode; the window covers synchronized "
-            "steady-state load, never connection setup).  Every served "
-            "answer is certified against the linear-scan oracle and the "
-            "client ledger is reconciled against the server's own "
-            "metrics before any number is reported.  Coalescing wins by "
-            "deleting per-request overhead — one IPC round trip, one "
-            "event-loop wakeup and one executor handoff per *window* "
-            "instead of per request — so the ratio holds even on a "
-            "single visible CPU."
-        ),
-    )
-    total = connections * per_connection
-    for label, report in (("direct", direct), ("coalesced", coal)):
-        table.add_row(
-            label,
-            report.qps,
-            report.qps / direct.qps if direct.qps else 0.0,
-            report.p50_ms,
-            report.p99_ms,
-            f"{report.certified}/{total}",
-            report.errors,
-            report.coalesced_responses,
-            report.coalescer.get("largest_batch", 0),
-        )
-    return [table]
-
-
-def _run_e20(scale: Scale) -> List[Table]:
-    import os
-
-    from repro.packed.batch import NUMPY_AVAILABLE, packed_nearest_batch
-    from repro.packed.kernels import packed_nearest_best_first
-    from repro.packed.layout import PackedTree
-    from repro.storage.pager import PageModel
-
-    k = 10
-    page_size = 8192  # the classic 8K database page: fanout ~227
-    window_sizes = (8, 16, 32)
-    # full reproduces the headline n=10^6 run committed as
-    # BENCH_e20_batch.json; smaller presets (including the test suite's
-    # tiny) keep the pytest smoke fast.
-    n = {"quick": 20000, "default": 200000, "full": 1000000}.get(
-        scale.name, max(scale.base_size, 2048)
-    )
-    reps = 3 if scale.name == "full" else 5
-    q_count = ((max(96, scale.queries) + 31) // 32) * 32
-    queries = query_points_uniform(q_count, seed=_QUERY_SEED)
-    tree = build_tree(
-        _uniform_items(n), page_model=PageModel(page_size=page_size)
-    )
-    ptree = PackedTree.from_tree(tree)
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
-
-    # Bit-identity enforced before any timing (the kernel's contract):
-    # every window member must match the solo kernel on payloads,
-    # squared distances and statistics, on both execution paths.
-    solo_results = [
-        packed_nearest_best_first(ptree, q, k=k) for q in queries
-    ]
-    modes = [False] + ([True] if NUMPY_AVAILABLE else [])
-    for vectorize in modes:
-        cursor = 0
-        for start in range(0, q_count, 8):
-            window = queries[start : start + 8]
-            for b_nb, b_stats in packed_nearest_batch(
-                ptree, window, k=k, vectorize=vectorize
-            ):
-                s_nb, s_stats = solo_results[cursor]
-                cursor += 1
-                if (
-                    [nb.payload for nb in b_nb] != [nb.payload for nb in s_nb]
-                    or [nb.distance_squared for nb in b_nb]
-                    != [nb.distance_squared for nb in s_nb]
-                    or b_stats != s_stats
-                ):
-                    raise InvalidParameterError(
-                        f"E20 parity violation at query {cursor - 1} "
-                        f"(vectorize={vectorize})"
-                    )
-
-    paths = [("python", False)] + (
-        [("numpy", True)] if NUMPY_AVAILABLE else []
-    )
-    solo_s = float("inf")
-    batch_s: Dict[Tuple[int, str], float] = {
-        (w, label): float("inf") for w in window_sizes for label, _ in paths
-    }
-    for _ in range(reps):  # interleaved best-of: noise lands everywhere
-        start_t = time.perf_counter()
-        for q in queries:
-            packed_nearest_best_first(ptree, q, k=k)
-        solo_s = min(solo_s, time.perf_counter() - start_t)
-        for w in window_sizes:
-            windows = [
-                queries[i : i + w] for i in range(0, q_count, w)
-            ]
-            for label, vectorize in paths:
-                start_t = time.perf_counter()
-                for window in windows:
-                    packed_nearest_batch(
-                        ptree, window, k=k, vectorize=vectorize
-                    )
-                key = (w, label)
-                batch_s[key] = min(
-                    batch_s[key], time.perf_counter() - start_t
-                )
-
-    per_query = 1e3 / q_count
-    table = Table(
-        f"E20: multi-query batched traversal over the packed slab "
-        f"(uniform n={n}, k={k}, page_size={page_size}, fanout "
-        f"{tree.max_entries}, {q_count} queries, {cpus} CPU(s) visible)",
-        ["window", "path", "solo ms/q", "batched ms/q", "speedup"],
-        caption=(
-            "One best-first traversal answers a whole window of queries: "
-            "per-query agendas advance in lockstep rounds and every "
-            "visited node's MINDIST is evaluated against all live "
-            "queries in one strided pass (numpy when importable; the "
-            "pure-python fallback is the bit-identical reference).  "
-            f"Interleaved best-of-{reps} against the solo packed "
-            "best-first loop; results and statistics are certified "
-            "bit-identical before timing, so the speedup buys nothing "
-            "but time."
-        ),
-    )
-    for w in window_sizes:
-        for label, _ in paths:
-            elapsed = batch_s[(w, label)]
-            table.add_row(
-                w,
-                label,
-                solo_s * per_query,
-                elapsed * per_query,
-                solo_s / elapsed if elapsed else 0.0,
-            )
-    return [table]
-
-
-# ---------------------------------------------------------------------------
-# E21 — request-span tracing overhead on the serving front door
-
-
-def _run_e21(scale: Scale) -> List[Table]:
-    import os
-
-    from repro.server.soak import run_soak
-    from repro.service.engine import QueryEngine
-    from repro.service.options import EngineOptions
-
-    n = scale.base_size
-    k = 10
-    full = scale.name in ("default", "full")
-    connections = 200 if full else 64
-    per_connection = 4 if full else 3
-    reps = 3 if full else 2
-    items = _uniform_items(n)
-    tree = build_tree(items)
-    queries = query_points_uniform(scale.queries, seed=_QUERY_SEED)
-    exact = [linear_scan_items(items, q, k=k) for q in queries]
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
-
-    # Thread engine, no coalescing: span instrumentation rides the
-    # per-request path (front door -> engine -> kernel), so that is the
-    # path this experiment times.  The three modes are the full knob
-    # range: tracing compiled out (the pre-span serving path), armed but
-    # idle (production default — one sampler decision per request), a
-    # production sampling rate, and every-request recording.
-    modes = (
-        ("off", False, 0.0),
-        ("armed 0.0", True, 0.0),
-        ("sampled 0.125", True, 0.125),
-        ("full 1.0", True, 1.0),
-    )
-
-    def _soak(spans: bool, sample: float) -> Any:
-        return run_soak(
-            QueryEngine(
-                tree, options=EngineOptions(workers=2, cache_size=0)
-            ),
-            connections=connections,
-            requests_per_connection=per_connection,
-            points=queries,
-            exact=exact,
-            k=k,
-            coalesce=False,
-            spans=spans,
-            span_sample=sample,
-            span_seed=0,
-        )
-
-    best: Dict[str, Any] = {label: None for label, _, _ in modes}
-    violations: List[str] = []
-    for _ in range(reps):  # interleaved best-of: noise lands everywhere
-        for label, spans, sample in modes:
-            report = _soak(spans, sample)
-            violations.extend(report.violations)
-            if best[label] is None or report.qps > best[label].qps:
-                best[label] = report
-    if violations:  # pragma: no cover - soundness is test-enforced
-        raise InvalidParameterError(
-            "E21 soak violations: " + "; ".join(violations[:3])
-        )
-
-    floor = best["off"]
-    table = Table(
-        f"E21: request-span tracing overhead on the serving front door "
-        f"(uniform n={n}, k={k}, {connections} connections x "
-        f"{per_connection} requests, thread engine, {cpus} CPU(s) "
-        f"visible)",
-        ["mode", "qps", "vs off", "p50 ms", "p99 ms", "certified"],
-        caption=(
-            "Real-socket soak of the HTTP front door with request-span "
-            "tracing compiled out (ServerConfig(spans=False), the "
-            "pre-span serving path), armed but never sampling (the "
-            "production default: one seeded sampler decision per "
-            "request, then None-checks down the stack), at a realistic "
-            "1-in-8 sampling rate, and recording every request "
-            f"(interleaved best-of-{reps} per mode).  Every served "
-            "answer is oracle-certified and the client ledger is "
-            "reconciled against server metrics before any number is "
-            "reported.  The armed-idle column is the one the repo "
-            "gates: `repro.bench spans` holds it within 5% of the "
-            "spans=False floor, the same discipline E16 applies to the "
-            "per-event kernel tracer.  Sampled modes pay for wall-clock "
-            "reads and span assembly only on sampled requests, so the "
-            "tax scales with the sampling rate, not the request rate."
-        ),
-    )
-    total = connections * per_connection
-    for label, _, _ in modes:
-        report = best[label]
-        table.add_row(
-            label,
-            report.qps,
-            report.qps / floor.qps if floor.qps else 0.0,
-            report.p50_ms,
-            report.p99_ms,
-            f"{report.certified}/{total}",
-        )
-    return [table]
-
-
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.id: exp
     for exp in (
@@ -1615,80 +898,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "loop: worker pool plus an epoch-invalidated result cache, on "
             "uniform-distinct and session-clustered query batches.",
             _run_e14,
-        ),
-        Experiment(
-            "E15",
-            "Packed struct-of-arrays query kernel",
-            "Performance extension (CPU cost of the paper's search)",
-            "Latency of the packed-slab DFS kernel vs the object-graph "
-            "kernel at two page sizes, plus the per-call cost of the "
-            "point-to-MBR metrics it inlines; results and stats are "
-            "bit-identical by construction.",
-            _run_e15,
-        ),
-        Experiment(
-            "E16",
-            "Tracer overhead on the packed hot path",
-            "Observability extension (instrumentation must be free when off)",
-            "Disabled- and enabled-tracer latency of the packed DFS kernel "
-            "against the raw hot loop; the disabled path is the one every "
-            "production query takes and must stay within noise of the "
-            "kernel floor.",
-            _run_e16,
-        ),
-        Experiment(
-            "E17",
-            "Overload resilience: budget overhead and chaos soak",
-            "Robustness extension (graceful degradation under overload)",
-            "Cost of the per-query budget machinery on the packed hot "
-            "path (unbudgeted queries must stay within noise of the "
-            "kernel floor) plus a seeded fault-injection soak at 4x "
-            "admission capacity with every answer oracle-certified.",
-            _run_e17,
-        ),
-        Experiment(
-            "E18",
-            "Sharded multi-process scaling vs the thread engine",
-            "Extension: serving architecture (beyond the paper)",
-            "Batch QPS of the process-sharded scatter-gather engine "
-            "against the GIL-bound thread engine at 1/2/4 workers, with "
-            "bit-identical answer parity enforced before timing and the "
-            "host's visible CPU count recorded alongside the numbers.",
-            _run_e18,
-        ),
-        Experiment(
-            "E19",
-            "Front-door micro-batch coalescing over real sockets",
-            "Extension: serving architecture (beyond the paper)",
-            "Real-socket soak of the asyncio HTTP front door at 10k "
-            "concurrent connections: per-request dispatch vs micro-batch "
-            "coalescing through the sharded engine's packed batch path, "
-            "with every served answer oracle-certified and client/server "
-            "ledgers reconciled before any throughput is reported.",
-            _run_e19,
-        ),
-        Experiment(
-            "E20",
-            "Multi-query batched traversal over the packed slab",
-            "Performance extension (amortizing the paper's search)",
-            "One best-first traversal answers a whole query window: "
-            "per-query agendas in lockstep rounds with every node's "
-            "MINDIST evaluated against all live queries in one strided "
-            "pass.  Vectorized and pure-python paths vs the solo packed "
-            "kernel at windows of 8/16/32, bit-identity certified "
-            "before timing.",
-            _run_e20,
-        ),
-        Experiment(
-            "E21",
-            "Request-span tracing overhead on the serving front door",
-            "Extension: observability (beyond the paper)",
-            "Real-socket soak of the HTTP front door with span tracing "
-            "compiled out, armed-but-idle (the production default), "
-            "sampling 1-in-8, and recording every request; the "
-            "armed-idle mode must stay within 5% of the spans=False "
-            "floor (the E16 discipline applied to the serving path).",
-            _run_e21,
         ),
         Experiment(
             "E12",

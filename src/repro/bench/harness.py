@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core import knn_dfs as _knn_dfs
 from repro.core.config import QueryConfig
 from repro.core.knn_dfs import ObjectDistance
 from repro.core.pruning import PruningConfig
@@ -20,8 +19,6 @@ from repro.core.query import nearest
 from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError
 from repro.geometry.rect import Rect
-from repro.packed.kernels import _dfs_2d_fast, _heap_to_neighbors
-from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree, RectLike
 from repro.storage.pager import PageModel
@@ -190,20 +187,3 @@ def points_as_items(points: Sequence[Sequence[float]]) -> List[Tuple[Rect, int]]
     """Wrap bare points into ``(rect, index)`` items for tree building."""
     return [(Rect.from_point(p), i) for i, p in enumerate(points)]
 
-
-def kernel_floor(
-    ptree: PackedTree, queries: Sequence[Sequence[float]], k: int
-) -> None:
-    """One pass of the raw packed DFS hot loop over *queries*.
-
-    The "dispatch peeled off" floor E16/E17 and ``repro.bench
-    obs``/``resilience`` gate the public entry point against: the 2-D
-    fast loop plus result materialization, with none of the validation
-    or loop selection in front of it.  Callers time it; 2-D trees only.
-    """
-    slack = _knn_dfs._PRUNE_SLACK
-    for q in queries:
-        heap = _dfs_2d_fast(
-            ptree, q[0], q[1], k, 1.0, slack, None, SearchStats()
-        )
-        _heap_to_neighbors(ptree, heap)

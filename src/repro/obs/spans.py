@@ -19,7 +19,8 @@ Design:
   call) and threaded — by argument, never by ambient global — through
   the coalescer and the :class:`~repro.service.protocol.Engine`
   implementations.  ``span_ctx=None`` everywhere means "off", and the
-  serving path pays one ``is None`` test (gated <5% by experiment E21).
+  serving path pays one ``is None`` test (``perf/``'s ``http_open``
+  workload serves this way).
 * Spans form a tree via explicit parent ids.  Ids are allocated by the
   context, so cross-thread use is safe; worker *processes* cannot share
   the allocator, so they ship **compact records** — ``(name,
@@ -309,8 +310,9 @@ class SpanSampler:
 
     ``rate`` is the sampled fraction in ``[0, 1]``; 0 never samples (and
     short-circuits before touching the RNG — the sampling-off serving
-    path is the one experiment E21 gates), 1 always does.  A *seed*
-    makes the decision sequence reproducible for tests and benchmarks.
+    path is the one ``perf/``'s ``http_open`` workload times), 1 always
+    does.  A *seed* makes the decision sequence reproducible for tests
+    and benchmarks.
     """
 
     __slots__ = ("rate", "_rng", "_lock")

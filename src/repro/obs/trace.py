@@ -13,7 +13,7 @@ Tracing is strictly opt-in.  Every kernel takes ``trace=None`` and guards
 each event site with an ``is not None`` check, so the disabled path
 allocates nothing and costs at most a dead branch — the packed kernels
 dispatch once at entry and run the untouched hot loops when no trace is
-supplied (``python -m repro.bench obs`` gates that overhead).
+supplied (``tests/obs/test_traced_packed.py`` pins the parity).
 
 Event schema (tuples, first element is the event code):
 

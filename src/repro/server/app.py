@@ -74,8 +74,8 @@ class ServerConfig:
     dispatch_threads: int = 4
     # Distributed tracing (see repro.obs.spans).  ``spans=False`` is the
     # master switch: no sampler, no span log, no per-request ctx plumbing
-    # at all — byte-for-byte the pre-span serving path, and the floor the
-    # E21 overhead gate measures against.  With ``spans=True`` each
+    # at all — byte-for-byte the pre-span serving path (pinned by
+    # tests/server/test_spans_endpoint.py).  With ``spans=True`` each
     # ``/query`` / ``/batch`` draws a sampling verdict at *span_sample*
     # rate (0.0 still honors per-request ``"trace": true`` forcing);
     # sampled requests carry a SpanContext through the coalescer and

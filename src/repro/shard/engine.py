@@ -650,7 +650,8 @@ class ShardedQueryEngine:
 
         The leak contract: after :meth:`close` returns, no segment whose
         name starts with this prefix exists system-wide (checked by the
-        CI shard job and ``repro.bench shard`` against ``/dev/shm``).
+        CI shard job, ``tests/shard/test_engine.py`` and ``perf/``'s
+        hygiene phase against ``/dev/shm``).
         """
         return self._name_prefix
 
@@ -796,7 +797,7 @@ class ShardedQueryEngine:
         the serve records an ``engine.query`` span with scatter / per-
         shard RPC / merge children (worker spans included — see
         :mod:`repro.obs.spans`).  ``None`` (the default) costs one
-        ``is None`` test; experiment E21 gates that path.
+        ``is None`` test (the path ``perf/``'s ``shard_proc`` times).
         """
         self._ensure_open()
         cfg = self._effective_config(k, config)

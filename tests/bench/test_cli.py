@@ -81,50 +81,3 @@ class TestRun:
         assert document["numpy"] is NUMPY_AVAILABLE
         assert document["experiments"][0]["id"] == "E2"
 
-
-class TestBatchSmoke:
-    def test_batch_smoke_passes_with_parity(self, capsys):
-        # Tiny sizes: this pins parity and the report shape, not timing
-        # (no --min-speedup, so the ratio is reported, never gated).
-        assert (
-            main(
-                [
-                    "batch",
-                    "--n",
-                    "3000",
-                    "--queries",
-                    "24",
-                    "--window",
-                    "8",
-                    "--reps",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "bit-identical" in out
-        assert "48/48" in out or "24/24" in out  # both paths vs one
-        assert "PASS" in out
-
-    def test_batch_smoke_gates_on_min_speedup(self, capsys):
-        # An impossible threshold must fail the gate, not the parity.
-        assert (
-            main(
-                [
-                    "batch",
-                    "--n",
-                    "3000",
-                    "--queries",
-                    "16",
-                    "--reps",
-                    "1",
-                    "--min-speedup",
-                    "1e9",
-                ]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "below threshold" in out

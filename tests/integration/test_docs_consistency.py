@@ -41,6 +41,52 @@ def test_benchmark_file_exists_per_experiment():
         ), f"no benchmarks/bench_{stem}_*.py for {identifier}"
 
 
+def _experiment_ids(pattern, texts):
+    return {
+        f"E{number}" for text in texts for number in re.findall(pattern, text)
+    }
+
+
+def test_docs_and_files_name_only_registered_experiments():
+    """The converse: a section, index row, benchmark file or committed
+    baseline for an experiment the registry no longer has is doc rot."""
+    named = {
+        "EXPERIMENTS.md section": _experiment_ids(
+            r"(?m)^## E(\d+)\b", [(ROOT / "EXPERIMENTS.md").read_text()]
+        ),
+        "DESIGN.md index row": _experiment_ids(
+            r"(?m)^\|\s*E(\d+)\s*\|", [(ROOT / "DESIGN.md").read_text()]
+        ),
+        "benchmarks/ file": _experiment_ids(
+            r"^bench_e(\d+)_",
+            [p.name for p in (ROOT / "benchmarks").glob("bench_e*.py")],
+        ),
+        "BENCH_*.json baseline": _experiment_ids(
+            r"^BENCH_e(\d+)_", [p.name for p in ROOT.glob("BENCH_e*.json")]
+        ),
+    }
+    for where, identifiers in named.items():
+        assert identifiers <= set(EXPERIMENTS), (
+            f"{where} names unregistered experiments: "
+            f"{sorted(identifiers - set(EXPERIMENTS))}"
+        )
+
+
+def test_stated_experiment_range_matches_the_registry():
+    numbers = sorted(int(identifier[1:]) for identifier in EXPERIMENTS)
+    assert numbers == list(range(1, numbers[-1] + 1))
+    for name in ("README.md", "docs/API.md"):
+        stated = re.findall(
+            r"E1\s*(?:–|-|\.\.)\s*E(\d+)", (ROOT / name).read_text()
+        )
+        assert stated, f"{name} no longer states the experiment range"
+        for last in stated:
+            assert int(last) == numbers[-1], (
+                f"{name} says the experiments run E1..E{last}; the "
+                f"registry ends at E{numbers[-1]}"
+            )
+
+
 def test_registry_descriptions_are_substantive():
     for experiment in EXPERIMENTS.values():
         assert len(experiment.title) > 10

@@ -8,7 +8,9 @@ certifiable by the truncated-result oracle.
 """
 
 import asyncio
+import json
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
@@ -255,6 +257,64 @@ class TestEndToEndCoalescing:
         for body in bodies:
             assert body["coalesced"] is True
             certify(body, point, k, combo="coalesced")
+
+    def test_keepalive_fleet_ledgers_reconcile(self, serve):
+        """A concurrent keep-alive fleet: every 200 certified, and the
+        client's ledger equals the server's and the coalescer's."""
+        harness = serve(config=ServerConfig(max_wait_ms=2.0, max_batch=64))
+        fleet, per_connection, k = 32, 4, 3
+        barrier = threading.Barrier(fleet)
+        answers = []
+
+        def client(i):
+            conn = harness.connection()
+            try:
+                conn.connect()
+                barrier.wait(30)
+                for j in range(per_connection):
+                    n = i * per_connection + j
+                    point = [(n * 37 % 128) / 128.0, (n * 53 % 128) / 128.0]
+                    conn.request(
+                        "POST",
+                        "/query",
+                        body=json.dumps({"point": point, "k": k}),
+                    )
+                    response = conn.getresponse()
+                    answers.append(
+                        (response.status, point, json.loads(response.read()))
+                    )
+            finally:
+                conn.close()
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(fleet)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        sent = fleet * per_connection
+        assert len(answers) == sent
+        assert len({tuple(point) for _, point, _ in answers}) == sent
+        for status, point, body in answers:
+            assert status == 200
+            certify(body, tuple(point), k, combo="fleet")
+
+        # The server notices the client hangups asynchronously.
+        registry = harness.server.registry
+        deadline = time.monotonic() + 10.0
+        while (
+            registry.collect()["server.connections_open"] != 0
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        metrics = registry.collect()
+        assert metrics["server.requests"] == sent
+        assert metrics["server.responses_200"] == sent
+        assert metrics["server.connections_open"] == 0
+        coalescer = harness.server.coalescer.stats()
+        assert coalescer["requests"] == sent
+        assert coalescer["pending"] == 0
 
     # -- the satellite: deadlines vs the coalescing window -------------
     @pytest.mark.parametrize("max_wait_ms", [0.5, 2.0, 25.0])

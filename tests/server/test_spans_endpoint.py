@@ -1,4 +1,4 @@
-"""Request spans at the front door: sampling, /spans, the E21 floor."""
+"""Request spans at the front door: sampling, /spans, the spans=False floor."""
 
 import io
 import json
@@ -106,7 +106,7 @@ class TestSampledTraces:
 
 
 class TestSpansDisabledFloor:
-    """ServerConfig(spans=False) is the pre-span serving path E21 floors."""
+    """ServerConfig(spans=False) is the pre-span serving path."""
 
     def test_no_trace_machinery_when_disabled(self, serve):
         harness = serve(config=ServerConfig(spans=False))
