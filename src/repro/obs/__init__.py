@@ -29,7 +29,7 @@ Three layers, all opt-in and zero-cost when unused:
 - :mod:`repro.obs.advisor` — windowed registry readings turned into
   structured operational advice (:class:`Advisor`): re-pack /
   re-bulk-load on pages/query drift, shard rebalance on page skew,
-  coalescer and cache tuning hints.
+  cache tuning hints.
 
 ``python -m repro.obs trace`` renders a live query trace;
 ``python -m repro.obs top`` summarizes a dumped slow-query log;

@@ -4,8 +4,7 @@ An R-tree deployment degrades in ways its own counters make visible
 long before answers get slow enough to page anyone: insert churn
 fragments node MBRs (pages/query climbs against a steady workload), a
 drifting query distribution concentrates load on one spatial shard
-(per-shard page deltas skew), a mis-tuned coalescer stops finding
-company (window fill collapses), a shrinking cache stops earning its
+(per-shard page deltas skew), a shrinking cache stops earning its
 memory (hit rate falls).  The advisor watches a
 :class:`~repro.obs.registry.MetricsRegistry` through periodic
 :meth:`Advisor.observe` snapshots and turns *windowed deltas* — not raw
@@ -18,9 +17,6 @@ cumulative counters — into :class:`Recommendation` records:
 - ``shard-rebalance`` — one shard's share of page work exceeds
   ``skew_ratio`` times the mean: the space partition no longer matches
   the query distribution; re-plan shards against a fresh sample.
-- ``coalesce-tune`` — windows close nearly empty (fill below
-  ``min_fill``): the wait buys no amortization, lower ``max_wait_ms``
-  or disable coalescing.
 - ``cache-tune`` — hit rate below ``min_hit_rate`` on a meaningful
   query volume: the result cache is not earning its keep (or is sized
   below the working set).
@@ -66,9 +62,9 @@ class Advisor:
     Args:
         registry: The :class:`~repro.obs.registry.MetricsRegistry` the
             serving stack publishes into (engine stats under
-            ``engine.*``, per-shard gauges under ``shards.*``, coalescer
-            stats under ``server.coalescer.*`` — the standard wiring of
-            ``register_metrics`` / :class:`~repro.server.app.NNServer`).
+            ``engine.*``, per-shard gauges under ``shards.*`` — the
+            standard wiring of ``register_metrics`` /
+            :class:`~repro.server.app.NNServer`).
         window: Snapshots retained; rules compare the early half of the
             window against the recent half, so advice reflects *drift
             inside the window*, not all-time history.
@@ -76,7 +72,6 @@ class Advisor:
             re-pack advice.
         skew_ratio: Max-shard/mean-shard page-delta ratio that triggers
             the rebalance advice.
-        min_fill: Coalescer window-fill floor.
         min_hit_rate: Cache hit-rate floor.
         min_queries: New queries that must land inside the window before
             any rule may fire.
@@ -88,7 +83,6 @@ class Advisor:
         window: int = 8,
         drift_ratio: float = 1.5,
         skew_ratio: float = 2.0,
-        min_fill: float = 0.05,
         min_hit_rate: float = 0.1,
         min_queries: int = 100,
     ) -> None:
@@ -108,7 +102,6 @@ class Advisor:
         self.window = window
         self.drift_ratio = drift_ratio
         self.skew_ratio = skew_ratio
-        self.min_fill = min_fill
         self.min_hit_rate = min_hit_rate
         self.min_queries = min_queries
         self._snapshots: Deque[Dict[str, float]] = deque(maxlen=window)
@@ -143,7 +136,6 @@ class Advisor:
         out: List[Recommendation] = []
         out.extend(self._pages_drift(first, mid, last))
         out.extend(self._shard_skew(first, last))
-        out.extend(self._coalescer_fill(first, last))
         out.extend(self._cache_hit_rate(first, last))
         return out
 
@@ -243,36 +235,6 @@ class Advisor:
                     "mean_pages": mean,
                     "ratio": ratio,
                     "shards": float(len(deltas)),
-                },
-            )
-        ]
-
-    # -- coalescer fill ------------------------------------------------
-    def _coalescer_fill(
-        self, first: Dict[str, float], last: Dict[str, float]
-    ) -> List[Recommendation]:
-        fill = last.get("server.coalescer.window_fill_rate")
-        if fill is None:
-            return []
-        new_requests = last.get("server.coalescer.requests", 0.0) - first.get(
-            "server.coalescer.requests", 0.0
-        )
-        if new_requests < self.min_queries:
-            return []
-        if fill >= self.min_fill:
-            return []
-        return [
-            Recommendation(
-                kind="coalesce-tune",
-                severity="info",
-                message=(
-                    f"coalescer windows run {fill:.1%} full — the wait "
-                    "buys no batch amortization at this arrival rate; "
-                    "lower max_wait_ms or disable coalescing"
-                ),
-                evidence={
-                    "window_fill_rate": fill,
-                    "requests": new_requests,
                 },
             )
         ]

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2,
                         help="engine worker threads")
     parser.add_argument("--max-wait-ms", type=float, default=1.0,
-                        help="coalescing window")
+                        help="coalescing window ceiling (busy engine only)")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="coalescing batch cap")
     parser.add_argument("--no-coalesce", action="store_true",

@@ -41,6 +41,7 @@ from repro.core.config import QueryConfig
 from repro.core.query import NNResult, resolve_config
 from repro.errors import (
     AdmissionRejected,
+    GeometryError,
     InvalidParameterError,
     QuotaExceeded,
 )
@@ -470,7 +471,7 @@ class NNServer:
             return self._shed(429, str(exc))
         except AdmissionRejected as exc:
             return self._shed(503, str(exc))
-        except InvalidParameterError as exc:
+        except (InvalidParameterError, GeometryError) as exc:
             return _plain(400, str(exc))
         except (FutureCancelled, asyncio.CancelledError):
             raise
@@ -526,34 +527,37 @@ class NNServer:
         if not isinstance(base, QueryConfig):
             base = QueryConfig()
         k = payload.get("k")
-        if k is not None and not isinstance(k, int):
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
             raise HTTPError(400, "k must be an integer")
         cfg = resolve_config(base, k=k)
-        if "epsilon" in payload:
-            cfg = cfg.replace(epsilon=float(payload["epsilon"]))
-        deadline_ms = payload.get("deadline_ms")
-        max_pages = payload.get("max_pages")
+        epsilon = _number(payload, "epsilon", float)
+        if epsilon is not None:
+            cfg = cfg.replace(epsilon=epsilon)
+        deadline_ms = _number(payload, "deadline_ms", float)
+        max_pages = _number(payload, "max_pages", int)
         if deadline_ms is not None or max_pages is not None:
             cfg = cfg.replace(
-                budget=Budget(
-                    deadline_ms=(
-                        float(deadline_ms) if deadline_ms is not None else None
-                    ),
-                    max_pages=(
-                        int(max_pages) if max_pages is not None else None
-                    ),
-                )
+                budget=Budget(deadline_ms=deadline_ms, max_pages=max_pages)
             )
         return cfg
 
     @staticmethod
     def _point(value: Any) -> Tuple[float, ...]:
+        # bool is an int subclass, and json.loads admits NaN/Infinity
+        # tokens and overflowing literals (1e999): none is a coordinate.
         if (
             not isinstance(value, (list, tuple))
             or not value
-            or not all(isinstance(c, (int, float)) for c in value)
+            or not all(
+                isinstance(c, (int, float))
+                and not isinstance(c, bool)
+                and math.isfinite(c)
+                for c in value
+            )
         ):
-            raise HTTPError(400, "point must be a non-empty number array")
+            raise HTTPError(
+                400, "point must be a non-empty array of finite numbers"
+            )
         return tuple(float(c) for c in value)
 
     def _trace_context(
@@ -586,22 +590,16 @@ class NNServer:
             else None
         )
         coalescer = self.coalescer
-        coalesce = (
-            self.config.coalesce
-            and coalescer is not None
-            and client is None  # per-client quotas need per-request verdicts
-            and not coalescer.bypasses(cfg)
-        )
+        enabled = self.config.coalesce and coalescer is not None
+        bypass = enabled and coalescer.bypasses(cfg)
+        # Per-client quotas need per-request verdicts.
+        coalesce = enabled and client is None and not bypass
         try:
             if coalesce:
                 outcome = await coalescer.submit(point, cfg, span_ctx=ctx)
                 self._m_coalesced.inc()
             else:
-                if (
-                    self.config.coalesce
-                    and coalescer is not None
-                    and coalescer.bypasses(cfg)
-                ):
+                if bypass:
                     self._m_bypass.inc()
                     coalescer.note_bypass()
                     if root is not None:
@@ -736,6 +734,17 @@ def _parse_json(body: bytes) -> Dict[str, Any]:
     if not isinstance(payload, dict):
         raise HTTPError(400, "body must be a JSON object")
     return payload
+
+
+def _number(payload: Dict[str, Any], field: str, kind: type) -> Any:
+    """``kind(payload[field])``; None when absent; a 400 naming *field*."""
+    value = payload.get(field)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise HTTPError(400, f"{field} must be a number") from None
 
 
 def _json(payload: Dict[str, Any]) -> bytes:

@@ -1,16 +1,27 @@
 """Micro-batch request coalescing for the serving front door.
 
-Singleton ``/query`` arrivals within a sub-millisecond window are
-collected per :class:`~repro.core.config.QueryConfig` and dispatched as
-*one* engine batch — the serving-side analogue of the packed batched
-MINDIST evaluation: one thread hop and one kernel entry amortized over
-the whole window instead of per request.  Windows close on whichever
-comes first of ``max_wait_ms`` elapsing or ``max_batch`` arrivals.
+Singleton ``/query`` arrivals that overlap are collected per
+:class:`~repro.core.config.QueryConfig` and dispatched as *one* engine
+batch — the serving-side analogue of the packed batched MINDIST
+evaluation: one thread hop and one kernel entry amortized over the
+whole window instead of per request.
+
+The window is clocked by the engine, not by a timer (natural batching):
+
+- **idle** — a window opened while no batch is in flight closes at the
+  end of the current event-loop pass: it shares with whatever arrived
+  in that pass and waits for nobody else;
+- **busy** — a window opened while a batch is in flight keeps
+  collecting until the last in-flight batch has been handed back, then
+  every open window is released on the next loop pass;
+- **ceiling** — ``max_wait_ms`` bounds the wait of a busy window (the
+  engine may be slower than that), and ``max_batch`` arrivals close any
+  window at once.
 
 Deadlines stay honored: a request whose budget cannot survive the
-coalescing window (``deadline_ms <= max_wait_ms``) must not sit in it —
-:meth:`Coalescer.bypasses` tells the front door to dispatch it directly
-instead.
+longest possible wait (``deadline_ms <= max_wait_ms``) must not sit in
+a window — :meth:`Coalescer.bypasses` tells the front door to dispatch
+it directly instead.
 
 All coalescer state is confined to the event-loop thread; only the
 batch execution itself runs on the executor.
@@ -42,7 +53,7 @@ class _Window:
     def __init__(self, cfg: QueryConfig) -> None:
         self.cfg = cfg
         self.entries: List[_Entry] = []
-        self.handle: Optional[asyncio.TimerHandle] = None
+        self.handle: Optional[asyncio.Handle] = None
 
 
 class Coalescer:
@@ -55,7 +66,8 @@ class Coalescer:
             ``submit`` (one admission verdict per request — a resilient
             backend sheds individually even inside a window).
         executor: Where batch dispatch runs (the front door's pool).
-        max_wait_ms: Longest a request may sit waiting for company.
+        max_wait_ms: Ceiling on how long a request may sit in a window
+            while the engine is busy; an idle engine imposes no wait.
         max_batch: Window size that triggers an immediate flush.
     """
 
@@ -145,9 +157,15 @@ class Coalescer:
             window = _Window(cfg)
             self._windows[key] = window
             self.windows += 1
-            window.handle = loop.call_later(
-                self.max_wait_ms / 1000.0, self._flush, key, "timer"
-            )
+            if self._outstanding:
+                # Busy: collect until _distribute releases us, or the
+                # ceiling — whichever comes first.
+                window.handle = loop.call_later(
+                    self.max_wait_ms / 1000.0, self._flush, key, "timer"
+                )
+            else:
+                # Idle: share with this loop pass's arrivals only.
+                window.handle = loop.call_soon(self._flush, key, "timer")
         if span_ctx is not None and not span_ctx.sampled:
             span_ctx = None
         window.entries.append(
@@ -182,10 +200,10 @@ class Coalescer:
             "pending": self.pending,
             "bypassed": self.bypassed,
             "mean_batch": mean_batch,
-            # How full windows run on average, in [0, 1]: the headline
-            # tuning gauge — near 0 means max_wait_ms buys no company,
-            # near 1 means windows close on max_batch and could be
-            # larger.
+            # How full windows run on average, in [0, 1]: how much
+            # arrivals overlap.  Low is free (a lone request does not
+            # wait); near 1 means windows close on max_batch and could
+            # be larger.
             "window_fill_rate": (
                 mean_batch / self.max_batch if flushes else 0.0
             ),
@@ -236,16 +254,27 @@ class Coalescer:
         """Execute one window on the executor; one outcome per entry."""
         points = [entry[0] for entry in window.entries]
         ctxs = [entry[2] for entry in window.entries]
-        any_sampled = any(ctx is not None for ctx in ctxs)
         if self._query_batch is not None:
-            if any_sampled and self._batch_takes_spans:
-                results = self._query_batch(
-                    points, config=window.cfg, span_ctxs=ctxs
-                )
-            else:
-                results = self._query_batch(points, config=window.cfg)
-            return [(_OK, result) for result in results]
-        if any_sampled and self._submit_takes_span:
+            try:
+                return [
+                    (_OK, result)
+                    for result in self._call_batch(points, ctxs, window.cfg)
+                ]
+            except Exception:
+                if len(points) == 1:
+                    raise
+            # The batch is all-or-nothing, so one bad entry failed its
+            # whole window: re-run one at a time for per-waiter verdicts.
+            outcomes: List[Tuple[str, Any]] = []
+            for point, ctx in zip(points, ctxs):
+                try:
+                    outcomes.append(
+                        (_OK, self._call_batch([point], [ctx], window.cfg)[0])
+                    )
+                except Exception as exc:
+                    outcomes.append((_ERR, exc))
+            return outcomes
+        if self._submit_takes_span and any(ctx is not None for ctx in ctxs):
             submitted = [
                 self.engine.submit(point, config=window.cfg, span_ctx=ctx)
                 for point, ctx in zip(points, ctxs)
@@ -255,7 +284,7 @@ class Coalescer:
                 self.engine.submit(point, config=window.cfg)
                 for point in points
             ]
-        outcomes: List[Tuple[str, Any]] = []
+        outcomes = []
         for request_future in submitted:
             try:
                 outcomes.append((_OK, request_future.result()))
@@ -263,17 +292,23 @@ class Coalescer:
                 outcomes.append((_ERR, exc))
         return outcomes
 
+    def _call_batch(
+        self,
+        points: List[Tuple[float, ...]],
+        ctxs: List[Optional[SpanContext]],
+        cfg: QueryConfig,
+    ) -> List[Any]:
+        if self._batch_takes_spans and any(ctx is not None for ctx in ctxs):
+            return self._query_batch(points, config=cfg, span_ctxs=ctxs)
+        return self._query_batch(points, config=cfg)
+
     def _distribute(self, window: _Window, done: "asyncio.Future") -> None:
         """Resolve every waiter from the finished batch (loop thread)."""
         self._outstanding.discard(done)
         try:
             outcomes = done.result()
         except BaseException as exc:  # whole-batch failure
-            for entry in window.entries:
-                future = entry[1]
-                if not future.done():
-                    future.set_exception(exc)
-            return
+            outcomes = [(_ERR, exc)] * len(window.entries)
         for (_, future, _, _), (tag, value) in zip(window.entries, outcomes):
             if future.done():  # waiter gone (disconnect / cancellation)
                 continue
@@ -281,6 +316,19 @@ class Coalescer:
                 future.set_result(value)
             else:
                 future.set_exception(value)
+        if self._windows and not self._outstanding:
+            # The engine just went idle: the windows that collected
+            # behind it leave on the next loop pass.  Not from inside
+            # this done-callback — the pool thread has not marked itself
+            # idle yet, and dispatching now would spawn a second one.
+            done.get_loop().call_soon(self._release)
+
+    def _release(self) -> None:
+        """Flush the windows that waited out a busy engine."""
+        if self._outstanding:  # busy again; its _distribute releases us
+            return
+        for key in list(self._windows):
+            self._flush(key, "timer")
 
     async def drain(self) -> None:
         """Flush every open window and await all dispatched batches."""

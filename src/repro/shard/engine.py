@@ -224,7 +224,9 @@ class _ProcessShard:
         self._pending: Dict[int, Future] = {}
         self._rids = itertools.count(1)
         self._cond = threading.Condition()
-        self._ready_epochs: set = set()
+        # The worker's verdict per published epoch: None = attached
+        # ("ready"), a string = why the attach failed ("nack").
+        self._verdicts: Dict[int, Optional[str]] = {}
 
     # -- lifecycle -----------------------------------------------------
     def start(self, slab: ExportedSlab, mbr: Optional[Rect], size: int) -> None:
@@ -244,7 +246,7 @@ class _ProcessShard:
         self.proc = proc
         self.conn = parent_conn
         self.dead = False
-        self._ready_epochs.clear()
+        self._verdicts.clear()
         reader = threading.Thread(
             target=self._read_loop,
             name=f"repro-shard-reader-{self.index}",
@@ -256,7 +258,14 @@ class _ProcessShard:
     def wait_ready(self, epoch: int, timeout: float = _WORKER_TIMEOUT) -> None:
         with self._cond:
             ok = self._cond.wait_for(
-                lambda: epoch in self._ready_epochs or self.dead, timeout
+                lambda: epoch in self._verdicts or self.dead, timeout
+            )
+            nack = self._verdicts.get(epoch)
+        if nack is not None:
+            # This epoch failed; the worker is alive on its current slab.
+            raise ShardLostError(
+                f"shard {self.index} worker could not attach epoch "
+                f"{epoch}: {nack}"
             )
         if self.dead or not ok:
             self._mark_dead()
@@ -268,6 +277,10 @@ class _ProcessShard:
         """Send the new segment name; caller waits via :meth:`wait_ready`."""
         self.mbr = mbr
         self.size = size
+        with self._cond:
+            # An aborted republish reuses its epoch number on the retry:
+            # forget that attempt's verdict.
+            self._verdicts.pop(slab.manifest.epoch, None)
         with self._send_lock:
             if self.dead:
                 raise ShardLostError(f"shard {self.index} worker is dead")
@@ -406,9 +419,9 @@ class _ProcessShard:
                 fut = self._pop(msg[1])
                 if fut is not None:
                     fut.set_exception(msg[2])
-            elif tag == "ready":
+            elif tag in ("ready", "nack"):
                 with self._cond:
-                    self._ready_epochs.add(msg[1])
+                    self._verdicts[msg[1]] = msg[2] if tag == "nack" else None
                     self._cond.notify_all()
             elif tag == "closed":
                 # The worker is about to exit; EOF follows.

@@ -22,7 +22,9 @@ sent_at)``                      request; *spans* are compact wire records
 cfg)``                          / ``("err", rid, e)``
 ``("query_batch", rid, ps,      ``("oks", rid, [FlatResult, ...], spans)``
 cfg, sent_at)``
-``("publish", manifest)``       ``("ready", epoch)`` after the re-attach
+``("publish", manifest)``       ``("ready", epoch)`` after the re-attach, or
+                                ``("nack", epoch, why)`` — attach failed, the
+                                worker keeps serving its current slab
 ``("ping",)``                   ``("pong",)``
 ``("sleep", seconds)``          *nothing* — test hook to simulate a stall
 ``("close",)``                  ``("closed",)``, then the worker exits
@@ -166,7 +168,15 @@ def shard_worker_main(conn: Any, manifest: SlabManifest) -> None:
                         conn.send(("err", rid, RuntimeError(repr(exc))))
             elif op == "publish":
                 _, new_manifest = msg
-                fresh = attach_slab(new_manifest, untrack=True)
+                try:
+                    fresh = attach_slab(new_manifest, untrack=True)
+                except Exception as exc:  # noqa: BLE001 - shipped to parent
+                    # Typically FileNotFoundError: the parent gave up on
+                    # this republish and unlinked the segment before we
+                    # got here.  Dying would turn an aborted republish
+                    # into a lost shard; keep serving the current slab.
+                    conn.send(("nack", new_manifest.epoch, repr(exc)))
+                    continue
                 old, slab = slab, fresh
                 if old is not None:
                     old.close()

@@ -158,25 +158,6 @@ class TestShardSkewRule:
 
 
 class TestCoalescerAndCacheRules:
-    def test_coalesce_tune_fires_on_empty_windows(self):
-        source = _FakeSource(window_fill_rate=0.01, requests=0)
-        advisor = _advisor("server.coalescer", source, window=2)
-        advisor.observe()
-        source.update(requests=500)
-        advisor.observe()
-        (rec,) = advisor.recommendations()
-        assert rec.kind == "coalesce-tune"
-        assert rec.severity == "info"
-        assert rec.evidence["window_fill_rate"] == pytest.approx(0.01)
-
-    def test_coalesce_quiet_on_healthy_fill(self):
-        source = _FakeSource(window_fill_rate=0.4, requests=0)
-        advisor = _advisor("server.coalescer", source, window=2)
-        advisor.observe()
-        source.update(requests=500)
-        advisor.observe()
-        assert advisor.recommendations() == []
-
     def test_cache_tune_fires_on_cold_cache(self):
         source = _FakeSource(queries=0, cache_hits=0)
         advisor = _advisor("engine", source, window=2)

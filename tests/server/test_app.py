@@ -127,6 +127,16 @@ class TestValidation:
             ({"point": [0.5, 0.5], "epsilon": float("nan")}, "epsilon"),
             ({"point": [0.5, 0.5], "epsilon": float("inf")}, "epsilon"),
             ({"point": [0.5, 0.5], "epsilon": float("-inf")}, "epsilon"),
+            # bool is an int to isinstance; these used to be a 200.
+            ({"point": [0.5, 0.5], "k": True}, "k"),
+            ({"point": [True, False]}, "point"),
+            # These used to be a 500 — and, coalesced, a 500 for every
+            # other request sharing the window.
+            ({"point": [1e999, 0.5]}, "point"),
+            ({"point": [float("nan"), 0.5]}, "point"),
+            ({"point": [0.5]}, "dimension"),
+            ({"point": [0.5, 0.5], "deadline_ms": "x"}, "deadline_ms"),
+            ({"point": [0.5, 0.5], "epsilon": "a"}, "epsilon"),
         ],
     )
     def test_bad_query_payloads_are_400(self, serve, payload, fragment):

@@ -1,4 +1,4 @@
-"""Micro-batch coalescing: windows, flush triggers, deadline bypass.
+"""Micro-batch coalescing: windows, the window clock, deadline bypass.
 
 The deadline-vs-coalescing interaction is the satellite this file pins:
 a request whose ``Budget.deadline_ms`` cannot survive the coalescing
@@ -9,6 +9,7 @@ certifiable by the truncated-result oracle.
 
 import asyncio
 import json
+import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -52,6 +53,55 @@ class _SubmitEngine:
         else:
             future.set_result(("R", tuple(point)))
         return future
+
+
+class _GatedEngine(_BatchEngine):
+    """Every ``query_batch`` call blocks until the test opens the gate."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)  # one permit per call begun
+
+    def query_batch(self, points, config=None):
+        with self.lock:
+            self.calls.append(list(points))
+        self.entered.release()
+        assert self.gate.wait(30), "test never opened the gate"
+        return [("R", tuple(p)) for p in points]
+
+    async def wait_entered(self):
+        """Await (off the loop thread) one more call reaching the engine."""
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.entered.acquire, True, 10)
+
+
+class _PoisonEngine(_BatchEngine):
+    """``query_batch`` fails as a whole iff a marked point is in it."""
+
+    POISON = (-1.0, -1.0)
+
+    def query_batch(self, points, config=None):
+        with self.lock:
+            self.calls.append(list(points))
+        if self.POISON in points:
+            raise ValueError("poisoned batch")
+        return [("R", tuple(p)) for p in points]
+
+
+class _StallingEngine(_BatchEngine):
+    """Seeded random stalls; answers name their point and their k."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+
+    def query_batch(self, points, config=None):
+        with self.lock:
+            self.calls.append(list(points))
+            stall = self.rng.choice([0.0, 0.0, 0.0005, 0.002, 0.004])
+        time.sleep(stall)
+        return [("R", tuple(p), config.k) for p in points]
 
 
 def run_coalesced(engine, coro_fn, **kwargs):
@@ -202,6 +252,171 @@ class TestWindows:
         assert calls["n"] == len(points)
 
 
+class TestWindowClock:
+    """The window is clocked by the engine: idle / busy / ceiling."""
+
+    def test_lone_request_on_an_idle_engine_does_not_wait(self):
+        engine = _BatchEngine()
+
+        async def go(coalescer):
+            # A timer this long would hang the test: max_wait_ms is a
+            # ceiling for a busy engine, not a sentence for a lone request.
+            return await asyncio.wait_for(
+                coalescer.submit((0.5, 0.5), QueryConfig(k=1)), timeout=5.0
+            )
+
+        coalescer, result = run_coalesced(
+            engine, go, max_wait_ms=60_000.0, max_batch=64
+        )
+        assert result == ("R", (0.5, 0.5))
+        assert coalescer.flush_timer == 1
+
+    def test_arrivals_behind_a_busy_engine_form_one_following_batch(self):
+        engine = _GatedEngine()
+        cfg = QueryConfig(k=1)
+        points = [(float(i), 0.0) for i in range(4)]
+
+        async def go(coalescer):
+            tasks = [asyncio.ensure_future(coalescer.submit(points[0], cfg))]
+            await engine.wait_entered()
+            for point in points[1:]:  # one loop pass (and more) apart
+                tasks.append(
+                    asyncio.ensure_future(coalescer.submit(point, cfg))
+                )
+                await asyncio.sleep(0.01)
+            # Not dispatched before the first batch completes ...
+            assert len(engine.calls) == 1
+            assert coalescer.pending == 3
+            engine.gate.set()
+            # ... and released by its completion, not by the ceiling.
+            return await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+
+        coalescer, results = run_coalesced(
+            engine, go, max_wait_ms=60_000.0, max_batch=64
+        )
+        assert results == [("R", p) for p in points]
+        assert engine.calls == [points[:1], points[1:]]
+        assert coalescer.flush_timer == 2
+        assert coalescer.largest_batch == 3
+
+    def test_ceiling_releases_a_window_the_engine_outlasts(self):
+        engine = _GatedEngine()
+        cfg = QueryConfig(k=1)
+
+        async def go(coalescer):
+            first = asyncio.ensure_future(coalescer.submit((0.0, 0.0), cfg))
+            await engine.wait_entered()
+            second = asyncio.ensure_future(coalescer.submit((1.0, 0.0), cfg))
+            # The first batch is still blocked: only the max_wait_ms
+            # ceiling can dispatch the second, on a second thread.
+            await engine.wait_entered()
+            assert len(engine.calls) == 2
+            assert not first.done() and not second.done()
+            engine.gate.set()
+            return await asyncio.wait_for(
+                asyncio.gather(first, second), timeout=5.0
+            )
+
+        coalescer, results = run_coalesced(
+            engine, go, max_wait_ms=20.0, max_batch=64
+        )
+        assert results == [("R", (0.0, 0.0)), ("R", (1.0, 0.0))]
+        assert coalescer.flush_timer == 2
+
+    def test_distinct_configs_behind_a_busy_engine_stay_distinct(self):
+        engine = _GatedEngine()
+
+        async def go(coalescer):
+            first = asyncio.ensure_future(
+                coalescer.submit((0.0, 0.0), QueryConfig(k=1))
+            )
+            await engine.wait_entered()
+            later = [
+                asyncio.ensure_future(coalescer.submit(point, cfg))
+                for point, cfg in [
+                    ((1.0, 1.0), QueryConfig(k=1)),
+                    ((2.0, 2.0), QueryConfig(k=2)),
+                    ((3.0, 3.0), QueryConfig(k=1)),
+                ]
+            ]
+            await asyncio.sleep(0.01)
+            assert len(engine.calls) == 1
+            engine.gate.set()
+            return await asyncio.wait_for(
+                asyncio.gather(first, *later), timeout=5.0
+            )
+
+        coalescer, _ = run_coalesced(
+            engine, go, max_wait_ms=60_000.0, max_batch=64
+        )
+        assert coalescer.windows == 3
+        assert sorted(engine.calls[1:], key=len) == [
+            [(2.0, 2.0)],
+            [(1.0, 1.0), (3.0, 3.0)],
+        ]
+
+    def test_one_bad_entry_does_not_poison_its_window(self):
+        engine = _PoisonEngine()
+        cfg = QueryConfig(k=1)
+        points = [(0.0, 0.0), _PoisonEngine.POISON, (2.0, 0.0)]
+
+        async def go(coalescer):
+            return await asyncio.gather(
+                *(coalescer.submit(p, cfg) for p in points),
+                return_exceptions=True,
+            )
+
+        coalescer, results = run_coalesced(engine, go, max_wait_ms=50.0)
+        assert coalescer.largest_batch == 3  # they did share a window
+        assert results[0] == ("R", (0.0, 0.0))
+        assert isinstance(results[1], ValueError)
+        assert results[2] == ("R", (2.0, 0.0))
+
+    @pytest.mark.parametrize("seed", [3, 1995])
+    def test_random_schedule_ledgers_reconcile(self, seed):
+        """Random gaps x two configs x random engine stalls: every waiter
+        gets its own answer and every counter reconciles with the engine."""
+        rng = random.Random(seed)
+        engine = _StallingEngine(seed)
+        configs = [QueryConfig(k=1), QueryConfig(k=2)]
+        plan = [
+            (
+                (float(i), float(seed)),
+                rng.choice(configs),
+                rng.choice([0.0, 0.0, 0.0, 0.0, 0.0002, 0.001, 0.003]),
+            )
+            for i in range(240)
+        ]
+
+        async def go(coalescer):
+            tasks = []
+            for point, cfg, gap in plan:
+                tasks.append(
+                    asyncio.ensure_future(coalescer.submit(point, cfg))
+                )
+                if gap:
+                    await asyncio.sleep(gap)
+            # Drain with the tail of the schedule still in its windows.
+            await asyncio.wait_for(coalescer.drain(), timeout=10.0)
+            return await asyncio.wait_for(
+                asyncio.gather(*tasks), timeout=30.0
+            )
+
+        coalescer, results = run_coalesced(
+            engine, go, max_wait_ms=1.0, max_batch=4
+        )
+        assert results == [("R", point, cfg.k) for point, cfg, _ in plan]
+        flushes = (
+            coalescer.flush_full
+            + coalescer.flush_timer
+            + coalescer.flush_drain
+        )
+        assert flushes == len(engine.calls)
+        assert coalescer.requests == len(plan)
+        assert coalescer.requests == sum(len(c) for c in engine.calls)
+        assert coalescer.pending == 0
+
+
 class TestDeadlineBypassRule:
     @pytest.mark.parametrize(
         "budget,expected",
@@ -257,6 +472,45 @@ class TestEndToEndCoalescing:
         for body in bodies:
             assert body["coalesced"] is True
             certify(body, point, k, combo="coalesced")
+
+    def test_lone_http_query_does_not_wait_out_the_window(self, serve):
+        harness = serve(config=ServerConfig(max_wait_ms=500.0))
+        point, k = (0.4, 0.6), 3
+        started = time.monotonic()
+        status, _, body = harness.request_json(
+            "POST", "/query", {"point": list(point), "k": k}
+        )
+        elapsed = time.monotonic() - started
+        assert status == 200
+        assert body["coalesced"] is True
+        assert elapsed < 0.25, f"lone request took {elapsed * 1000:.0f} ms"
+        certify(body, point, k, combo="lone")
+
+    def test_malformed_http_query_fails_alone_in_a_shared_window(self, serve):
+        harness = serve(config=ServerConfig(max_wait_ms=50.0))
+        k = 3
+        points = [[0.2, 0.2], [0.5], [0.8, 0.8]]  # the middle one: 1-D
+        answers = [None] * len(points)
+        barrier = threading.Barrier(len(points))
+
+        def fire(i):
+            barrier.wait()
+            status, _, body = harness.request_json(
+                "POST", "/query", {"point": points[i], "k": k}
+            )
+            answers[i] = (status, body)
+
+        threads = [
+            threading.Thread(target=fire, args=(i,))
+            for i in range(len(points))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert [status for status, _ in answers] == [200, 400, 200]
+        for i in (0, 2):
+            certify(answers[i][1], tuple(points[i]), k, combo="isolated")
 
     def test_keepalive_fleet_ledgers_reconcile(self, serve):
         """A concurrent keep-alive fleet: every 200 certified, and the

@@ -9,6 +9,11 @@ survived ``close()`` — breaking the ``name_prefix`` contract the CI
 shard job checks system-wide.  The fixed unwind unlinks exactly the
 unpublished epoch's segments and re-raises; the old epoch keeps serving
 untouched.
+
+"Keeps serving" includes the workers: one that reaches ``attach_slab``
+only after the unwind finds the segment gone, and must answer with a
+nack and keep its current slab — not die on ``FileNotFoundError`` and
+turn an aborted republish into a lost shard.
 """
 
 import glob
@@ -17,6 +22,7 @@ import os
 import pytest
 
 import repro.shard.engine as shard_engine
+from repro.service.options import EngineOptions
 from repro.shard import ShardedQueryEngine
 
 pytestmark = pytest.mark.shard
@@ -98,6 +104,59 @@ class TestRepublishUnwind:
             # Both fully-exported new-epoch segments were unwound.
             assert _segments(prefix) == before
             assert len(eng.query((0.5, 0.5), k=3).neighbors) == 3
+        finally:
+            eng.close()
+        assert _segments(prefix) == []
+
+    def test_worker_that_attaches_after_the_unwind_keeps_serving(
+        self, uniform_items, monkeypatch
+    ):
+        eng = ShardedQueryEngine(
+            items=uniform_items,
+            shards=2,
+            processes=True,
+            options=EngineOptions(cache_size=0),
+        )
+        try:
+            prefix = eng.name_prefix
+            before = _segments(prefix)
+            point = (500.0, 500.0)
+            # No result cache, and query_batch skips the shard-level
+            # prune: every worker must answer every time, so a dead one
+            # shows as a truncated result.
+            baseline = eng.query_batch([point], k=3)[0]
+            assert not baseline.truncated
+
+            # Force the losing order: both workers sleep through the
+            # publish and the unwind, and wake to an unlinked segment.
+            for handle in eng._handles:
+                handle.conn.send(("sleep", 1.0))
+
+            def no_ack(self, epoch):
+                raise shard_engine.ShardLostError(
+                    "injected: parent gave up before the workers woke"
+                )
+
+            monkeypatch.setattr(
+                shard_engine._ProcessShard, "wait_ready", no_ack
+            )
+            with pytest.raises(shard_engine.ShardLostError):
+                eng.republish(items=uniform_items)
+            monkeypatch.undo()
+            assert _segments(prefix) == before
+
+            # Queues behind the sleep and the failed attach on each pipe.
+            again = eng.query_batch([point], k=3)[0]
+            assert not again.truncated
+            assert again.distances() == baseline.distances()
+            assert eng.liveness()["alive"] == [True, True]
+            assert _segments(prefix) == before
+
+            # The late nacks do not poison the retry of the same epoch.
+            assert eng.republish(items=uniform_items) == 2
+            after = _segments(prefix)
+            assert len(after) == 2 and after != before
+            assert not eng.query_batch([point], k=3)[0].truncated
         finally:
             eng.close()
         assert _segments(prefix) == []
