@@ -25,16 +25,40 @@ def test_e7_bulk_build_benchmark(benchmark, build_items):
     assert len(tree) == BUILD_N
 
 
+BULK = ("STR bulk load", "Hilbert bulk load", "Morton bulk load")
+
+
 def test_regenerate_table(quick_scale, capsys):
+    """What E7 is about is tree *quality*, which is deterministic: packing
+    gives fewer, fuller nodes and a tree no taller than any dynamic build,
+    and STR — the loader E1-E6 use — reads no more pages than the worst
+    dynamic build.  Build time is what the table reports; it is printed
+    as a ratio and not asserted (wall-clock on a shared host is not a
+    property of the algorithm, and both sides of the ratio keep moving)."""
     for table in get_experiment("E7").run(quick_scale):
+        rows = {
+            variant: dict(zip(table.columns, row))
+            for variant, row in zip(table.column("variant"), table.rows)
+        }
+        dynamic = [row for name, row in rows.items() if "split" in name]
+        fastest_dynamic = min(_number(row["build s"]) for row in dynamic)
         with capsys.disabled():
             print("\n" + table.render())
-        variants = table.column("variant")
-        builds = [float(v.replace(",", "")) for v in table.column("build s")]
-        by_name = dict(zip(variants, builds))
-        dynamic = [
-            build for name, build in by_name.items() if "split" in name
-        ]
-        # Every bulk loader beats every dynamic build by a wide margin.
-        for name in ("STR bulk load", "Hilbert bulk load", "Morton bulk load"):
-            assert by_name[name] < min(dynamic) / 5
+            for name in BULK:
+                ratio = fastest_dynamic / _number(rows[name]["build s"])
+                print(f"{name}: {ratio:,.0f}x faster than the fastest dynamic build")
+        for name in BULK:
+            assert _number(rows[name]["nodes"]) <= min(
+                _number(row["nodes"]) for row in dynamic
+            )
+            assert _number(rows[name]["height"]) <= min(
+                _number(row["height"]) for row in dynamic
+            )
+        for pages in ("1-NN pages", "4-NN pages"):
+            assert _number(rows["STR bulk load"][pages]) <= max(
+                _number(row[pages]) for row in dynamic
+            )
+
+
+def _number(cell):
+    return float(str(cell).replace(",", ""))

@@ -8,7 +8,8 @@ callers pass lists or tuples interchangeably through :func:`as_point`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import DimensionMismatchError, GeometryError
 
@@ -16,6 +17,7 @@ __all__ = [
     "Point",
     "as_point",
     "point_dimension",
+    "axis_columns",
     "euclidean_squared",
     "euclidean",
     "chebyshev",
@@ -46,6 +48,11 @@ def as_point(coords: Sequence[float]) -> Point:
 def point_dimension(point: Sequence[float]) -> int:
     """Return the dimensionality of *point*."""
     return len(point)
+
+
+def axis_columns(points: Sequence[Sequence[float]]) -> List[List[float]]:
+    """One list per axis.  (``zip(*points)`` allocates an iterator per point.)"""
+    return [list(map(itemgetter(a), points)) for a in range(len(points[0]))]
 
 
 def _check_same_dimension(a: Sequence[float], b: Sequence[float]) -> None:

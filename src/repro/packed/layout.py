@@ -47,10 +47,11 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _from_bounds
 
 __all__ = [
     "PackedTree",
@@ -209,6 +210,7 @@ class PackedTree:
         # distance ties exactly like the object kernel's stable sort.
         skipped_before = getattr(tree, "pages_skipped", 0)
         extend_coords = coords.extend
+        flatten = chain.from_iterable
         reuse = previous is not None
         if reuse:
             old_kinds = previous.kinds
@@ -244,20 +246,17 @@ class PackedTree:
                     rects.extend(old_rects[first:first + count])
                 kinds.append(kind)
             elif node.is_leaf:
-                all_points = True
-                for entry in entries:
-                    rect = entry.rect
-                    lo = rect.lo
-                    hi = rect.hi
-                    extend_coords(lo)
-                    extend_coords(hi)
-                    if lo != hi:
-                        all_points = False
-                    refs.append(len(payloads))
-                    payloads.append(entry.payload)
-                    rects.append(rect)
+                # Read the leaf's entries once, then emit per slab, not per entry.
+                leaf = list(entries)
+                leaf_rects = [entry.rect for entry in leaf]
+                los = [rect.lo for rect in leaf_rects]
+                his = [rect.hi for rect in leaf_rects]
+                coords.fromlist(list(flatten(flatten(zip(los, his)))))
+                refs.extend(range(len(payloads), len(payloads) + len(leaf)))
+                payloads.extend([entry.payload for entry in leaf])
+                rects.extend(leaf_rects)
                 kinds.append(
-                    NODE_LEAF_POINTS if all_points else NODE_LEAF_RECT
+                    NODE_LEAF_POINTS if los == his else NODE_LEAF_RECT
                 )
             else:
                 kinds.append(NODE_INTERNAL)
@@ -327,10 +326,7 @@ class PackedTree:
         base = entry_index * 2 * dim
         lo = tuple(self.coords[base:base + dim])
         hi = tuple(self.coords[base + dim:base + 2 * dim])
-        rect = Rect.__new__(Rect)
-        object.__setattr__(rect, "lo", lo)
-        object.__setattr__(rect, "hi", hi)
-        return rect
+        return _from_bounds(Rect, lo, hi)
 
     def items(self) -> List[Tuple[Rect, Any]]:
         """Every indexed ``(rect, payload)`` pair, in packed entry order."""

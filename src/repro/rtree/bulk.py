@@ -8,10 +8,13 @@ insertion is slow in pure Python; STR is linearithmic).
 
 from __future__ import annotations
 
+import gc
 import math
-from typing import Any, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.geometry.point import axis_columns
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree, RectLike, _coerce_rect
@@ -22,6 +25,30 @@ __all__ = ["bulk_load"]
 _PACK_METHODS = ("str", "hilbert", "morton")
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Disable the cyclic collector for the block; restore the state found.
+
+    A bulk load allocates ~10^6 cycle-free objects; every full collection on
+    the way re-traverses them for nothing (0.50 -> 0.39 s at n = 200k).  The
+    state is process-wide, and ``enable`` is only called by a thread that
+    *saw* it enabled, so threads A, B end enabled iff they started enabled:
+    ``A+ A- B+ B-`` each restores what it found; ``A+ B+ B- A-`` B saw
+    disabled, A re-enables; ``A+ B+ A- B-`` A re-enables early (B loses the
+    rest of its pause) and B leaves it; both reading "enabled" before either
+    disables ends in two ``enable`` calls.  Started disabled, nobody enables.
+    Nothing else in ``repro`` toggles the collector.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def bulk_load(
     items: Iterable[Tuple[RectLike, Any]],
     max_entries: int = 8,
@@ -58,7 +85,7 @@ def bulk_load(
         )
     tree = RTree(max_entries=max_entries, min_entries=min_entries)
     entries = [
-        Entry(_coerce_rect(rect), payload=payload) for rect, payload in items
+        Entry(_coerce_rect(rect), None, payload) for rect, payload in items
     ]
     if not entries:
         return tree
@@ -93,7 +120,7 @@ def bulk_load(
                 node.entries = group
                 nodes.append(node)
         else:
-            nodes = _pack_level(entries, per_node, dimension, level, tree)
+            nodes = _pack_level(entries, per_node, level, tree)
         entries = [Entry(node.mbr(), child=node) for node in nodes]
         level += 1
 
@@ -134,14 +161,14 @@ def _hilbert_order(entries: List[Entry], dimension: int) -> List[Entry]:
 
 
 def _pack_level(
-    entries: List[Entry],
-    per_node: int,
-    dimension: int,
-    level: int,
-    tree: RTree,
+    entries: List[Entry], per_node: int, level: int, tree: RTree
 ) -> List[Node]:
     """Tile one level's entries into nodes of ``[m, per_node]`` entries."""
-    groups = _str_partition(entries, per_node, dimension, axis=0)
+    # One key column per axis, computed once; the tiling permutes entry
+    # *indices* with a C-level sort key.
+    columns = axis_columns([e.rect.center for e in entries])
+    tiles = _str_partition(range(len(entries)), columns, per_node, axis=0)
+    groups = [[entries[i] for i in tile] for tile in tiles]
     _rebalance_tail(groups, tree.min_entries)
     nodes = []
     for group in groups:
@@ -167,27 +194,31 @@ def _rebalance_tail(groups: List[List[Entry]], min_entries: int) -> None:
 
 
 def _str_partition(
-    entries: List[Entry], per_node: int, dimension: int, axis: int
-) -> List[List[Entry]]:
+    indices: Sequence[int], columns: Sequence[Sequence[float]], per_node: int, axis: int
+) -> List[List[int]]:
     """Recursive STR tiling: sort along *axis*, cut into slabs, recurse.
+
+    Tiles entry *indices*; ``columns[axis][i]`` is entry ``i``'s center
+    along *axis*.  Stable sort, same keys: the permutation is the one
+    sorting the entries themselves by ``rect.center[axis]`` gives.
 
     Every slab except the last holds a whole multiple of ``per_node``
     entries, so underfull groups can only appear at the very end of the
     returned list.
     """
-    if len(entries) <= per_node:
-        return [entries]
-    ordered = sorted(entries, key=lambda e: e.rect.center[axis])
-    if axis == dimension - 1:
+    if len(indices) <= per_node:
+        return [list(indices)]
+    ordered = sorted(indices, key=columns[axis].__getitem__)
+    if axis == len(columns) - 1:
         return [
             ordered[i : i + per_node] for i in range(0, len(ordered), per_node)
         ]
-    leaf_count = math.ceil(len(entries) / per_node)
-    remaining_axes = dimension - axis
+    leaf_count = math.ceil(len(indices) / per_node)
+    remaining_axes = len(columns) - axis
     slab_count = max(1, math.ceil(leaf_count ** (1.0 / remaining_axes)))
     slab_capacity = per_node * math.ceil(leaf_count / slab_count)
-    groups: List[List[Entry]] = []
+    groups: List[List[int]] = []
     for i in range(0, len(ordered), slab_capacity):
         slab = ordered[i : i + slab_capacity]
-        groups.extend(_str_partition(slab, per_node, dimension, axis + 1))
+        groups.extend(_str_partition(slab, columns, per_node, axis + 1))
     return groups

@@ -46,7 +46,7 @@ class Node:
             raise TreeInvariantError(
                 f"node {self.node_id} has no entries; its MBR is undefined"
             )
-        return Rect.union_all(e.rect for e in self.entries)
+        return Rect.union_all([e.rect for e in self.entries])
 
     def entry_count(self) -> int:
         """Number of entries currently stored."""

@@ -739,6 +739,9 @@ class ResilientEngine:
                 return True
             except InvalidStateError:
                 pass  # cancelled between the check and the set
+        # ``cancel()`` leaves the future CANCELLED; ``wait`` and
+        # ``as_completed`` count it done only once its waiters are told.
+        request.future.set_running_or_notify_cancel()
         self._cancelled += 1
         return False
 

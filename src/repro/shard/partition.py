@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.geometry.point import axis_columns
 from repro.geometry.rect import Rect
 
 __all__ = ["ShardPlan", "plan_shards", "PARTITION_METHODS"]
@@ -129,30 +130,30 @@ def _str_groups(
     — the same sort-and-slice discipline as the STR bulk loader, without
     requiring a perfect square of tiles.
     """
-    indexed = list(zip(centers, pool))
+    columns = axis_columns(centers)
 
-    def split(run: List[Tuple[Sequence[float], Item]], want: int) -> List[List[Item]]:
+    def split(run: List[int], want: int) -> List[List[int]]:
         if want == 1 or len(run) <= 1:
-            return [[item for _, item in run]]
+            return [run]
         left_want = (want + 1) // 2
         right_want = want - left_want
-        axis = _widest_axis([c for c, _ in run])
-        run = sorted(run, key=lambda pair: pair[0][axis])
+        axis = _widest_axis(columns, run)
+        run = sorted(run, key=columns[axis].__getitem__)
         # Cut proportionally to the shard counts, but never leave either
         # side with fewer items than the groups it still owes.
         cut = round(len(run) * left_want / want)
         cut = max(left_want, min(len(run) - right_want, cut))
         return split(run[:cut], left_want) + split(run[cut:], right_want)
 
-    return split(indexed, shards)
+    # Runs of item *indices*, C-level sort key: same floats, stable, same order.
+    return [[pool[i] for i in run] for run in split(list(range(len(pool))), shards)]
 
 
-def _widest_axis(centers: List[Sequence[float]]) -> int:
-    dim = len(centers[0])
+def _widest_axis(columns: List[Sequence[float]], run: List[int]) -> int:
     best_axis = 0
     best_extent = -1.0
-    for axis in range(dim):
-        values = [c[axis] for c in centers]
+    for axis, column in enumerate(columns):
+        values = [column[i] for i in run]
         extent = max(values) - min(values)
         if extent > best_extent:
             best_extent = extent

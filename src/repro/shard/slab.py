@@ -36,7 +36,7 @@ from multiprocessing import shared_memory
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _from_bounds
 from repro.packed.layout import NODE_INTERNAL, PackedTree
 
 __all__ = [
@@ -90,10 +90,7 @@ class SlabManifest:
         """The shard MBR as a :class:`Rect` (``None`` for an empty shard)."""
         if not self.mbr_lo:
             return None
-        rect = Rect.__new__(Rect)
-        object.__setattr__(rect, "lo", tuple(self.mbr_lo))
-        object.__setattr__(rect, "hi", tuple(self.mbr_hi))
-        return rect
+        return _from_bounds(Rect, tuple(self.mbr_lo), tuple(self.mbr_hi))
 
 
 class LazyRects:

@@ -1,8 +1,12 @@
 """Unit tests for STR bulk loading."""
 
+import gc
+import re
+
 import pytest
 
-from repro import RTree, Rect, bulk_load, nearest, linear_scan, validate_tree
+from repro import PackedTree, RTree, Rect, bulk_load, nearest, linear_scan, validate_tree
+from repro.rtree.bulk import _gc_paused
 from repro.datasets import uniform_points
 from repro.errors import InvalidParameterError
 from tests.conftest import assert_same_distances
@@ -160,3 +164,115 @@ class TestHilbertPacking:
             hil_pages += h.nodes_accessed
         # Hilbert packing is typically within ~2x of STR on point data.
         assert hil_pages < 2.5 * str_pages
+
+
+class TestCollectorPause:
+    """``bulk_load`` allocates with the cyclic GC paused and always hands
+    it back in the state it found; nothing else touches the collector."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def _watched_items(seen, n=300, fail_at=None):
+        for i, point in enumerate(uniform_points(n, seed=3)):
+            if i == fail_at:
+                raise RuntimeError("mid-build")
+            seen.append(gc.isenabled())
+            yield point, i
+
+    @pytest.mark.parametrize("start", [True, False], ids=["enabled", "disabled"])
+    def test_bulk_load_restores_the_state_it_found(self, start):
+        (gc.enable if start else gc.disable)()
+        seen = []
+        tree = bulk_load(self._watched_items(seen), max_entries=8)
+        assert gc.isenabled() is start
+        assert len(tree) == 300 and seen == [False] * 300
+        with pytest.raises(RuntimeError):
+            bulk_load(self._watched_items(seen, fail_at=150), max_entries=8)
+        assert gc.isenabled() is start
+        with pytest.raises(InvalidParameterError):
+            bulk_load(items_for(10), fill_factor=0.0)
+        assert gc.isenabled() is start
+
+    @pytest.mark.parametrize("start", [True, False], ids=["enabled", "disabled"])
+    def test_packed_leaves_the_collector_alone(self, start):
+        """The compile allocates almost nothing the collector tracks (its
+        per-leaf lists are transient), so a pause there measured no gain
+        and it runs in whatever state the caller has — mid-compile, after
+        a failed compile and after ``from_tree`` alike."""
+        tree = bulk_load(items_for(300), max_entries=8)
+        seen = []
+
+        class Watch(list):
+            def __iter__(self):
+                seen.append(gc.isenabled())
+                return super().__iter__()
+
+        class Boom(list):
+            def __len__(self):
+                raise MemoryError("mid-compile")
+
+        leaf = next(iter(tree.leaves()))
+        entries = leaf.entries
+        (gc.enable if start else gc.disable)()
+        leaf.entries = Watch(entries)
+        tree.packed()
+        assert gc.isenabled() is start and seen == [start]
+        tree.insert((1.0, 1.0), payload="new")
+        leaf.entries = Boom(entries)
+        with pytest.raises(MemoryError):
+            tree.packed()
+        assert gc.isenabled() is start
+        leaf.entries = entries
+        PackedTree.from_tree(tree)
+        assert gc.isenabled() is start
+        assert tree.packed().size == 301
+
+    @pytest.mark.parametrize("start", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "order", ["A+ A- B+ B-", "A+ B+ B- A-", "A+ B+ A- B-"]
+    )
+    def test_two_interleaved_pauses(self, order, start):
+        """The collector state is process-wide, so two threads' pauses
+        interleave like two context managers stepped by hand.  (The
+        fourth interleaving — both read the state before either disables
+        — needs a preemption inside the helper; it ends with two
+        ``enable`` calls, which is the same as one.)"""
+        (gc.enable if start else gc.disable)()
+        pauses = {"A": _gc_paused(), "B": _gc_paused()}
+        for step in order.split():
+            if step[1] == "+":
+                pauses[step[0]].__enter__()
+                assert not gc.isenabled()
+            else:
+                pauses[step[0]].__exit__(None, None, None)
+        assert gc.isenabled() is start
+
+    def test_nothing_else_in_repro_toggles_the_collector(self):
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        togglers = [
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if re.search(r"\bgc\.(enable|disable|freeze|set_threshold)\b", path.read_text())
+        ]
+        assert togglers == ["rtree/bulk.py"]
+
+
+def test_point_rects_share_one_coordinate_tuple():
+    """The allocation shape of a cold start: one tuple per indexed point,
+    whether the caller built the rects or ``bulk_load`` coerced them."""
+    points = uniform_points(10_000, seed=9)
+    for items in (
+        [(Rect.from_point(p), i) for i, p in enumerate(points)],
+        [(p, i) for i, p in enumerate(points)],
+    ):
+        tree = bulk_load(items, max_entries=113)
+        assert sum(r.lo is r.hi for r, _ in tree.items()) == 10_000

@@ -193,6 +193,51 @@ class TestCancelledFutureRace:
         assert stats.cancelled == 1
         assert stats.shed_evicted == 0
 
+    @pytest.mark.parametrize("path", ["shutdown", "expiry", "eviction"])
+    def test_cancelled_future_shed_by_the_engine_is_reported_done(self, path):
+        """``concurrent.futures.wait`` must see a cancelled waiter finish.
+
+        ``cancel()`` leaves a future CANCELLED; only
+        ``set_running_or_notify_cancel`` moves it to the
+        CANCELLED_AND_NOTIFIED state that ``wait`` / ``as_completed``
+        count as done.  Dispatch made that call; pre-fix the three
+        shedding paths (close flush, expiry, eviction) counted the cancel
+        and skipped it, so a client waiting on a batch of futures hung on
+        the one it had cancelled itself.
+        """
+        clock = [0.0]
+        backend = _GateBackend()
+        eng = ResilientEngine(
+            engine=backend,
+            workers=1,
+            queue_capacity=1,
+            shed_policy="adaptive-lifo" if path == "eviction" else "reject-newest",
+            queue_timeout_ms=50.0 if path == "expiry" else None,
+            clock=lambda: clock[0],
+        )
+        blocker = eng.submit(WEDGE, k=1)
+        assert backend.entered.wait(5)
+        abandoned = eng.submit((0.1, 0.1), k=1)
+        assert abandoned.cancel()
+        if path == "shutdown":
+            assert eng.close(timeout=0.2) is False  # flushes the queue
+        elif path == "eviction":
+            eng.submit((0.2, 0.2), k=1)  # evicts the cancelled waiter
+        else:
+            clock[0] = 1.0  # expired: dropped at the next dequeue
+            backend.gate.set()
+            blocker.result(5)
+        done, not_done = wait([abandoned], timeout=1)
+        assert done == {abandoned} and not not_done  # pre-fix: not_done
+        with pytest.raises(CancelledError):
+            abandoned.result(0)
+        backend.gate.set()
+        blocker.result(5)
+        assert eng.close(timeout=5) is True
+        stats = eng.stats()
+        assert stats.conserved, stats.as_dict()
+        assert stats.cancelled == 1
+
     def test_cancel_vs_dispatch_hammer_conserves(self, tree):
         """Racing cancels against dispatch/expiry/eviction/close.
 
