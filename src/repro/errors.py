@@ -46,6 +46,13 @@ class DimensionMismatchError(GeometryError):
         )
         self.expected = expected
         self.actual = actual
+        self.context = context
+
+    def __reduce__(self):
+        # The default replays ``args`` — the one formatted message — into
+        # an ``__init__`` that takes two ints, so without this the error
+        # cannot be unpickled on the far side of a shard worker's pipe.
+        return type(self), (self.expected, self.actual, self.context)
 
 
 class InvalidRectError(GeometryError):

@@ -666,11 +666,13 @@ def run_packed_batch(
 ) -> List[NNResult]:
     """Dispatch one same-config window to the packed kernels.
 
-    The batch mirror of :func:`run_packed_query`: best-first configs
-    without a budget take the multi-query kernel above; every other
-    config (DFS orderings, budgets — whose wall-clock truncation points
-    are inherently per-query) falls back to a solo-kernel loop, so
-    callers can route *any* window here safely.  Raises
+    The batch mirror of :func:`run_packed_query`: windows of two or
+    more under a best-first config without a budget take the multi-query
+    kernel above; a window of one (bit-identical either way, but the
+    solo loop is faster below fanout ~64) and every other config (DFS
+    orderings, budgets — whose wall-clock truncation points are
+    inherently per-query) fall back to a solo-kernel loop, so callers
+    can route *any* window here safely.  Raises
     :class:`InvalidParameterError` for ``object_distance_sq`` configs,
     exactly like the solo dispatcher.
     """
@@ -679,7 +681,7 @@ def run_packed_batch(
             "packed kernels do not support object_distance_sq; "
             "run this query through the object-graph kernels"
         )
-    if cfg.algorithm == "best-first" and cfg.budget is None:
+    if len(points) > 1 and cfg.algorithm == "best-first" and cfg.budget is None:
         pairs = packed_nearest_batch(
             ptree,
             points,

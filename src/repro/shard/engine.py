@@ -16,10 +16,12 @@ from node level to shard level:
    full k (untruncated), its k-th distance ``d_k`` becomes the pruning
    bound.
 3. **Round 2:** every other shard with
-   ``MINDIST >= d_k / (1 + eps)^2`` is pruned outright — by Theorem 1
+   ``MINDIST > d_k / (1 + eps)^2`` is pruned outright — by Theorem 1
    (MINDIST lower-bounds the distance of everything inside an MBR) it
-   cannot improve any of the k distances.  Survivors are queried *in
-   parallel*, one in-flight request per worker pipe.
+   cannot hold any of the k answers (a shard sitting *exactly* on the
+   bound can: an equal-distance object may win the merge's tie-break).
+   Survivors are queried *in parallel*, one in-flight request per
+   worker pipe.
 4. Merge all per-shard results with the same tie discipline the
    kernels use — sort by ``(distance², shard, within-shard rank)`` —
    and keep the first k.
@@ -57,26 +59,19 @@ from repro.core.query import NNResult, resolve_config
 from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError, ShardLostError
 from repro.geometry.rect import Rect
-from repro.obs.spans import WIRE_PARENT, SpanContext
-from repro.packed.batch import run_packed_batch
-from repro.packed.kernels import run_packed_query
+from repro.obs.spans import SpanContext
 from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
 from repro.service.cache import ResultCache
+from repro.service.engine import _point_key
 from repro.service.locks import ReadWriteLock
 from repro.service.options import EngineOptions
 from repro.service.protocol import EngineSnapshot
 from repro.service.stats import LatencyRecorder
 from repro.shard.partition import ShardPlan, plan_shards
 from repro.shard.slab import ExportedSlab, export_slab
-from repro.shard.wire import (
-    FlatResult,
-    flatten_result,
-    flatten_spans,
-    inflate_neighbor,
-    inflate_stats,
-)
-from repro.shard.worker import shard_worker_main
+from repro.shard.wire import FlatResult, inflate_neighbor, inflate_stats
+from repro.shard.worker import serve_window, shard_worker_main
 
 __all__ = ["ShardedQueryEngine", "ShardedStats"]
 
@@ -89,10 +84,6 @@ _CACHE_MISS = object()
 #: How long boot/publish/close waits on a worker before declaring it
 #: lost.  Generous: attach cost is milliseconds even for large slabs.
 _WORKER_TIMEOUT = 30.0
-
-
-def _point_key(point: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(float(c) for c in point)
 
 
 def _mp_context():
@@ -318,53 +309,17 @@ class _ProcessShard:
     # -- request path --------------------------------------------------
     def submit(
         self,
-        point: Tuple[float, ...],
-        cfg: QueryConfig,
-        sent_at: Optional[float] = None,
-    ) -> Future:
-        """Send one query; *sent_at* (wall clock) requests worker spans.
-
-        A plain submit resolves to the ``NNResult``; a span-sampled one
-        (``sent_at`` set) resolves to ``(NNResult, wire_spans)``.
-        """
-        fut: Future = Future()
-        with self._send_lock:
-            if self.dead:
-                fut.set_exception(
-                    ShardLostError(f"shard {self.index} worker is dead")
-                )
-                return fut
-            rid = next(self._rids)
-            with self._pending_lock:
-                self._pending[rid] = fut
-            try:
-                if sent_at is None:
-                    self.conn.send(("query", rid, point, cfg))
-                else:
-                    self.conn.send(("query", rid, point, cfg, sent_at))
-            except (OSError, ValueError, BrokenPipeError):
-                with self._pending_lock:
-                    self._pending.pop(rid, None)
-                self._mark_dead()
-                fut.set_exception(
-                    ShardLostError(f"shard {self.index} pipe broke on send")
-                )
-        return fut
-
-    def submit_batch(
-        self,
         points: Sequence[Tuple[float, ...]],
         cfg: QueryConfig,
         sent_at: Optional[float] = None,
     ) -> Future:
-        """One wire round trip for a whole window of points.
+        """One wire round trip for a window (a lone query is a window of one).
 
         Resolves to a list of columnar :data:`~repro.shard.wire
-        .FlatResult` replies, one per point in order; the same
-        reader-thread/rid plumbing as :meth:`submit`.  With *sent_at*
-        (a span-sampled window) it resolves to ``(replies, wire_spans)``
-        instead — one span set for the window, because the worker runs
-        one shared traversal for it.
+        .FlatResult` replies, one per point in order.  With *sent_at*
+        (the parent's wall clock at send: a span-sampled window) it
+        resolves to ``(replies, wire_spans)`` instead — one span set for
+        the window, because the worker runs one traversal for it.
         """
         fut: Future = Future()
         with self._send_lock:
@@ -378,11 +333,9 @@ class _ProcessShard:
                 self._pending[rid] = fut
             try:
                 if sent_at is None:
-                    self.conn.send(("query_batch", rid, list(points), cfg))
+                    self.conn.send(("query", rid, points, cfg))
                 else:
-                    self.conn.send(
-                        ("query_batch", rid, list(points), cfg, sent_at)
-                    )
+                    self.conn.send(("query", rid, points, cfg, sent_at))
             except (OSError, ValueError, BrokenPipeError):
                 with self._pending_lock:
                     self._pending.pop(rid, None)
@@ -479,51 +432,7 @@ class _InlineShard:
         self.ptree = None
         self.dead = True
 
-    def _spans(
-        self, sent_at: float, recv_s: float, kernel_ms: float,
-        stats: SearchStats, points: int,
-    ) -> tuple:
-        """Compact span records matching the process worker's shape."""
-        pruning = stats.pruning
-        return flatten_spans([
-            ("shard.queue", WIRE_PARENT, sent_at,
-             max(0.0, (recv_s - sent_at) * 1000.0), ()),
-            ("shard.kernel", WIRE_PARENT, recv_s, kernel_ms, (
-                ("pages", stats.nodes_accessed),
-                ("leaves", stats.leaf_accesses),
-                ("objects", stats.objects_examined),
-                ("p1", pruning.p1_pruned),
-                ("p3", pruning.p3_pruned),
-                ("truncated", int(stats.truncated)),
-                ("epoch", getattr(self.ptree, "epoch", 0)),
-                ("points", points),
-            )),
-        ])
-
     def submit(
-        self,
-        point: Tuple[float, ...],
-        cfg: QueryConfig,
-        sent_at: Optional[float] = None,
-    ) -> Future:
-        fut: Future = Future()
-        try:
-            if sent_at is None:
-                fut.set_result(run_packed_query(self.ptree, point, cfg))
-            else:
-                recv_s = time.time()
-                t0 = time.perf_counter()
-                result = run_packed_query(self.ptree, point, cfg)
-                kernel_ms = (time.perf_counter() - t0) * 1000.0
-                fut.set_result((
-                    result,
-                    self._spans(sent_at, recv_s, kernel_ms, result.stats, 1),
-                ))
-        except BaseException as exc:  # noqa: BLE001 - future carries it
-            fut.set_exception(exc)
-        return fut
-
-    def submit_batch(
         self,
         points: Sequence[Tuple[float, ...]],
         cfg: QueryConfig,
@@ -531,31 +440,10 @@ class _InlineShard:
     ) -> Future:
         fut: Future = Future()
         try:
-            # Same wire shape as a process shard, so the batched merge
-            # is mode-agnostic (and the flatten/inflate round trip is
-            # exercised even in differential in-process tests).  Like
-            # the process worker, the window shares one slab traversal.
-            if sent_at is None:
-                fut.set_result(
-                    [
-                        flatten_result(r)
-                        for r in run_packed_batch(self.ptree, points, cfg)
-                    ]
-                )
-            else:
-                recv_s = time.time()
-                t0 = time.perf_counter()
-                raw = run_packed_batch(self.ptree, points, cfg)
-                kernel_ms = (time.perf_counter() - t0) * 1000.0
-                window = SearchStats()
-                for r in raw:
-                    window.merge(r.stats)
-                fut.set_result((
-                    [flatten_result(r) for r in raw],
-                    self._spans(
-                        sent_at, recv_s, kernel_ms, window, len(points)
-                    ),
-                ))
+            # The worker's own window function: inline and process mode
+            # produce the same reply by construction, and the flatten /
+            # inflate round trip is exercised without a process.
+            fut.set_result(serve_window(self.ptree, points, cfg, sent_at))
         except BaseException as exc:  # noqa: BLE001 - future carries it
             fut.set_exception(exc)
         return fut
@@ -847,17 +735,15 @@ class ShardedQueryEngine:
 
         This is the amortized path the front door's micro-batch
         coalescer dispatches through: cache misses travel as **one**
-        pickled message per live shard (the ``query_batch`` wire op)
-        instead of one round trip per query per shard, replies come
-        back in the columnar :mod:`repro.shard.wire` format, and the
-        workers run the window in parallel off the parent's GIL.  The
-        *answers* — distance sequences, truncation verdicts and
-        frontier bounds — are bit-identical to per-query :meth:`query`
-        calls (same kernels, same tie-aware merge); payloads too,
-        except under *exact* cross-shard distance ties, where the
-        per-query path's shard prune discards equal-distance candidates
-        sitting exactly on its round-1 bound that the batch fan-out
-        merges in (either pick is a correct k-NN set).  The effort
+        pickled message per live shard instead of one round trip per
+        query per shard, and the workers run the window in parallel off
+        the parent's GIL.  It is the same wire op, reply shape and merge
+        as :meth:`query`; only the scatter *policy* differs.  The
+        answers — payloads, distances, truncation verdicts and frontier
+        bounds — are bit-identical to per-query :meth:`query` calls at
+        ``epsilon == 0`` (same kernels, same tie-aware merge; under
+        ``epsilon > 0`` both are valid (1+eps)-answers but may differ,
+        because the per-query prune uses the shrunk bound).  The effort
         counters differ by design: the batch path skips the shard-level
         P3 prune (every live shard sees every point; pruning needs a
         per-point bound from a synchronous first round, which is
@@ -940,8 +826,11 @@ class ShardedQueryEngine:
                 self._failures += 1
             raise
         finally:
-            elapsed = time.perf_counter() - start
-            self._latency.record(elapsed / len(points))
+            # One sample per point, as the thread engine records them:
+            # a window must weigh its size in the /stats percentiles.
+            per_query = (time.perf_counter() - start) / len(points)
+            for _ in points:
+                self._latency.record(per_query)
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -1187,126 +1076,83 @@ class ShardedQueryEngine:
         # a pruning config that turned P3 off (audit parity).
         use_prune = cfg.pruning is None or cfg.pruning.use_p3
         sampled = span_ctx is not None
+        ctxs = (span_ctx,) if sampled else ()
         scatter_span = (
             span_ctx.start("scatter", parent=parent_span) if sampled else None
         )
         scatter_id = scatter_span.id if scatter_span is not None else None
 
-        collected: List[Tuple[int, NNResult]] = []
-        lost: List[Tuple[int, float]] = []
+        window = [point]
+        lost: List[int] = []
         pruned_minds: List[float] = []
 
-        def _resolve(i: int, fut: Future, sent_s: float) -> None:
-            """Collect one shard reply (grafting its spans when sampled)."""
-            try:
-                reply = fut.result()
-            except ShardLostError:
-                lost.append((i, minds[i]))
-                return
-            if sampled:
-                result, wire_spans = reply
-                rpc_id = span_ctx.add(
-                    f"shard{i}.rpc",
-                    sent_s,
-                    (time.time() - sent_s) * 1000.0,
-                    parent=scatter_id,
-                    attrs={"shard": i},
-                )
-                span_ctx.graft(wire_spans, parent=rpc_id)
-            else:
-                result = reply
-            collected.append((i, result))
+        def _ask(i: int) -> Tuple[int, Future, Optional[float]]:
+            sent_at = time.time() if sampled else None
+            return i, handles[i].submit(window, cfg, sent_at), sent_at
 
         # Round 1: nearest live shard, synchronously — its k-th distance
         # is the bound that prunes the rest.
         bound = _INF
         rest: List[int] = []
+        per_shard: Dict[int, List[FlatResult]] = {}
         for pos, i in enumerate(order):
             if minds[i] == _INF:
                 continue  # empty shard: nothing to ask
-            handle = handles[i]
-            if handle.dead:
-                lost.append((i, minds[i]))
+            if handles[i].dead:
+                lost.append(i)
                 continue
-            sent_s = time.time() if sampled else 0.0
-            before = len(collected)
-            _resolve(
-                i,
-                handle.submit(point, cfg, sent_s if sampled else None),
-                sent_s,
-            )
-            if len(collected) == before:
+            per_shard = self._gather([_ask(i)], lost, ctxs, scatter_id, {})
+            if not per_shard:
                 continue  # shard was lost mid-request: try the next one
-            first = collected[-1][1]
-            if (
-                use_prune
-                and len(first.neighbors) >= cfg.k
-                and not first.stats.truncated
-            ):
-                bound = first.neighbors[-1].distance_squared
+            first = per_shard[i][0]
+            if use_prune and len(first[2]) >= cfg.k and not first[5][6]:
+                bound = first[2][-1]
             rest = order[pos + 1:]
             break
 
-        # Round 2: prune, then scatter the survivors in parallel.
-        in_flight: List[Tuple[int, Future, float]] = []
+        # Round 2: prune, then scatter the survivors in parallel.  The
+        # test is strict, as the paper's P3 is: a shard sitting exactly
+        # on the bound cannot improve a distance but can hold an equal-
+        # distance object that wins the merge's (d², shard, rank) order.
+        in_flight: List[Tuple[int, Future, Optional[float]]] = []
         for i in rest:
             if minds[i] == _INF:
                 continue
-            if bound < _INF and minds[i] >= bound * shrink_sq:
+            if bound < _INF and minds[i] > bound * shrink_sq:
                 pruned_minds.append(minds[i])
                 continue
-            handle = handles[i]
-            if handle.dead:
-                lost.append((i, minds[i]))
+            if handles[i].dead:
+                lost.append(i)
                 continue
-            sent_s = time.time() if sampled else 0.0
-            in_flight.append(
-                (i, handle.submit(point, cfg, sent_s if sampled else None),
-                 sent_s)
-            )
-        for i, fut, sent_s in in_flight:
-            _resolve(i, fut, sent_s)
+            in_flight.append(_ask(i))
+        per_shard.update(
+            self._gather(in_flight, lost, ctxs, scatter_id, {})
+        )
 
-        with self._stats_lock:
-            self._shards_queried += len(collected)
-            self._shards_pruned += len(pruned_minds)
-            if lost:
-                self._degraded += 1
-            for i, result in collected:
-                self._shard_requests[i] += 1
-                self._shard_pages[i] += result.stats.nodes_accessed
-
-        if not collected and lost:
-            # Every reachable shard died under us: the merged "answer"
-            # would be vacuous.  Still degrade soundly rather than raise
-            # — unless literally no shard is left to recover on.
-            if all(h.dead for h in handles):
-                if scatter_span is not None:
-                    scatter_span.end(error="ShardLostError")
-                raise ShardLostError(
-                    "all shard workers are dead; republish() to respawn"
-                )
         if scatter_span is not None:
             scatter_span.end(
-                queried=len(collected),
+                queried=len(per_shard),
                 pruned=len(pruned_minds),
                 lost=len(lost),
             )
+        self._account(per_shard, 1, len(pruned_minds), lost)
+        collected = [(i, flats[0]) for i, flats in per_shard.items()]
+        lost_minds = [minds[i] for i in lost]
         if sampled:
             merge_start = time.time()
             t0 = time.perf_counter()
-            merged = self._merge(cfg, collected, lost, pruned_minds)
+            merged = self._merge(cfg, collected, lost_minds, pruned_minds)
             span_ctx.add(
                 "merge",
                 merge_start,
                 (time.perf_counter() - t0) * 1000.0,
                 parent=parent_span,
                 attrs={"candidates": sum(
-                    len(r.neighbors) for _, r in collected
+                    len(flat[2]) for _, flat in collected
                 )},
             )
             return merged
-        return self._merge(cfg, collected, lost, pruned_minds)
+        return self._merge(cfg, collected, lost_minds, pruned_minds)
 
     def _scatter_batch(
         self,
@@ -1317,11 +1163,11 @@ class ShardedQueryEngine:
         """Batched scatter-gather: one wire round trip per live shard.
 
         Every live, non-empty shard receives the whole window and the
-        per-point answers are merged with the same tie discipline as
-        :meth:`_scatter`.  A shard that fails mid-batch degrades every
-        point in the window exactly like a lost shard on the per-query
-        path: its MBR MINDIST bounds the merged frontier, so the
-        truncated answers stay oracle-certifiable.
+        per-point answers are merged exactly as :meth:`_scatter` merges
+        one.  A shard that fails mid-batch degrades every point in the
+        window like a lost shard on the per-query path: its MBR MINDIST
+        bounds the merged frontier, so the truncated answers stay
+        oracle-certifiable.
 
         Span accounting is window-shaped, like the execution: one worker
         traversal serves every point, so each sampled context in
@@ -1339,77 +1185,103 @@ class ShardedQueryEngine:
                     seen.add(id(ctx))
                     sampled.append(ctx)
         live: List[int] = []
-        lost_shards: List[int] = []
+        lost: List[int] = []
         for i, handle in enumerate(handles):
             if handle.mbr is None:
                 continue  # empty shard: nothing to ask
             if handle.dead:
-                lost_shards.append(i)
+                lost.append(i)
             else:
                 live.append(i)
-        sent_s = time.time() if sampled else 0.0
-        in_flight = [
-            (
-                i,
-                handles[i].submit_batch(
-                    points, cfg, sent_s if sampled else None
-                ),
+        sent_at = time.time() if sampled else None
+        per_shard = self._gather(
+            [(i, handles[i].submit(points, cfg, sent_at), sent_at)
+             for i in live],
+            lost, sampled, None, {"points": len(points)},
+        )
+        self._account(per_shard, len(points), 0, lost)
+        return [
+            self._merge(
+                cfg,
+                [(i, flats[j]) for i, flats in per_shard.items()],
+                [mindist_squared(point, handles[i].mbr) for i in lost],
+                [],
             )
-            for i in live
+            for j, point in enumerate(points)
         ]
+
+    def _gather(
+        self,
+        in_flight: List[Tuple[int, Future, Optional[float]]],
+        lost: List[int],
+        ctxs: Sequence[SpanContext],
+        parent_span: Optional[int],
+        rpc_attrs: Dict[str, Any],
+    ) -> Dict[int, List[FlatResult]]:
+        """Wait for one round of ``(shard, future, sent_at)`` requests.
+
+        Returns ``{shard: [FlatResult, ...]}`` for the shards that
+        answered and appends the ones that died to *lost*.  A sampled
+        request (``sent_at`` set) resolved to ``(replies, wire_spans)``:
+        every context in *ctxs* gets a ``shard<i>.rpc`` span under
+        *parent_span* with the worker's spans grafted below it.
+        """
         per_shard: Dict[int, List[FlatResult]] = {}
-        for i, fut in in_flight:
+        for i, fut, sent_at in in_flight:
             try:
                 reply = fut.result()
             except ShardLostError:
-                lost_shards.append(i)
+                lost.append(i)
                 continue
-            if sampled:
-                per_shard[i], wire_spans = reply
-                rpc_ms = (time.time() - sent_s) * 1000.0
-                for ctx in sampled:
+            if sent_at is not None:
+                reply, wire_spans = reply
+                rpc_ms = (time.time() - sent_at) * 1000.0
+                for ctx in ctxs:
                     rpc_id = ctx.add(
-                        f"shard{i}.rpc", sent_s, rpc_ms,
-                        attrs={"shard": i, "points": len(points)},
+                        f"shard{i}.rpc", sent_at, rpc_ms,
+                        parent=parent_span,
+                        attrs={"shard": i, **rpc_attrs},
                     )
                     ctx.graft(wire_spans, parent=rpc_id)
-            else:
-                per_shard[i] = reply
-        with self._stats_lock:
-            self._shards_queried += len(per_shard) * len(points)
-            if lost_shards:
-                self._degraded += len(points)
-            for i, flats in per_shard.items():
-                self._shard_requests[i] += len(points)
-                self._shard_pages[i] += sum(flat[5][0] for flat in flats)
-        if not per_shard and lost_shards:
-            if all(h.dead for h in handles):
-                raise ShardLostError(
-                    "all shard workers are dead; republish() to respawn"
-                )
-        shard_order = sorted(per_shard)
-        out: List[NNResult] = []
-        for j, point in enumerate(points):
-            collected = [(i, per_shard[i][j]) for i in shard_order]
-            lost = [
-                (i, mindist_squared(point, handles[i].mbr))
-                for i in lost_shards
-            ]
-            out.append(self._merge_flat(cfg, collected, lost))
-        return out
+            per_shard[i] = reply
+        return per_shard
 
-    def _merge_flat(
+    def _account(
+        self,
+        per_shard: Dict[int, List[FlatResult]],
+        points: int,
+        pruned: int,
+        lost: List[int],
+    ) -> None:
+        """Count one scatter of *points* queries; raise if nothing is left."""
+        with self._stats_lock:
+            self._shards_queried += len(per_shard) * points
+            self._shards_pruned += pruned
+            if lost:
+                self._degraded += points
+            for i, flats in per_shard.items():
+                self._shard_requests[i] += points
+                self._shard_pages[i] += sum(flat[5][0] for flat in flats)
+        # Every reachable shard died under us: the merged "answer" would
+        # be vacuous.  Still degrade soundly rather than raise — unless
+        # literally no shard is left to recover on.
+        if not per_shard and lost and all(h.dead for h in self._handles):
+            raise ShardLostError(
+                "all shard workers are dead; republish() to respawn"
+            )
+
+    def _merge(
         self,
         cfg: QueryConfig,
         collected: List[Tuple[int, FlatResult]],
-        lost: List[Tuple[int, float]],
+        lost_minds: List[float],
+        pruned_minds: List[float],
     ) -> NNResult:
-        """:meth:`_merge` over columnar wire replies.
+        """Tie-aware k-way merge plus degraded-mode accounting.
 
-        Same tie discipline — ``(distance², shard, within-shard rank)``
-        — but distances are read straight out of the flat tuples and
+        Distances are read straight out of the columnar replies and
         ``Neighbor`` objects are constructed only for the k winners,
-        which is what makes the batched path cheap on the parent GIL.
+        which is what keeps the gather cheap on the parent GIL.
         """
         stats = SearchStats()
         entries: List[Tuple[float, int, int, FlatResult]] = []
@@ -1417,6 +1289,9 @@ class ShardedQueryEngine:
             stats.merge(inflate_stats(flat[5]))
             for rank, dist_sq in enumerate(flat[2]):
                 entries.append((dist_sq, shard_index, rank, flat))
+        # The kernels break exact distance ties by accept order within
+        # one tree; across shards the deterministic extension is
+        # (distance², shard, within-shard rank).
         entries.sort(key=lambda e: (e[0], e[1], e[2]))
         neighbors = [
             inflate_neighbor(entry[3], entry[2])
@@ -1426,50 +1301,14 @@ class ShardedQueryEngine:
         shard_frontiers = [
             flat[5][8] for _, flat in collected if flat[5][6]
         ]
-        if shard_frontiers or lost:
-            candidates = shard_frontiers + [mind for _, mind in lost]
-            stats.truncated = True
-            if lost:
-                stats.truncation_reason = "shard-lost"
-            stats.frontier_sq = min(candidates) if candidates else 0.0
-        return NNResult(neighbors=neighbors, stats=stats)
-
-    def _merge(
-        self,
-        cfg: QueryConfig,
-        collected: List[Tuple[int, NNResult]],
-        lost: List[Tuple[int, float]],
-        pruned_minds: List[float],
-    ) -> NNResult:
-        """Tie-aware k-way merge plus degraded-mode accounting."""
-        stats = SearchStats()
-        entries: List[Tuple[float, int, int, Any]] = []
-        for shard_index, result in sorted(collected, key=lambda t: t[0]):
-            stats.merge(result.stats)
-            for rank, neighbor in enumerate(result.neighbors):
-                entries.append(
-                    (neighbor.distance_squared, shard_index, rank, neighbor)
-                )
-        # The kernels break exact distance ties by accept order within
-        # one tree; across shards the deterministic extension is
-        # (distance², shard, within-shard rank).
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        neighbors = [e[3] for e in entries[:cfg.k]]
-
-        shard_frontiers = [
-            r.stats.frontier_sq for _, r in collected if r.stats.truncated
-        ]
-        if shard_frontiers or lost:
+        if shard_frontiers or lost_minds:
             # Sound frontier for the merged prefix: anything unexamined
             # lives past a truncated shard's frontier, past a lost
             # shard's MBR MINDIST, or past a pruned shard's MINDIST.
-            candidates = (
-                shard_frontiers
-                + [mind for _, mind in lost]
-                + pruned_minds
-            )
             stats.truncated = True
-            if lost:
+            if lost_minds:
                 stats.truncation_reason = "shard-lost"
-            stats.frontier_sq = min(candidates) if candidates else 0.0
+            stats.frontier_sq = min(
+                shard_frontiers + lost_minds + pruned_minds
+            )
         return NNResult(neighbors=neighbors, stats=stats)

@@ -1,13 +1,15 @@
-"""Columnar wire codec for batched shard replies.
+"""Columnar wire codec for shard replies.
 
-A ``query_batch`` reply does not ship :class:`~repro.core.query.NNResult`
-object graphs: unpickling one k=10 result costs ~55 us of parent-GIL
-time (each :class:`~repro.core.neighbors.Neighbor` drags a
-:class:`~repro.geometry.rect.Rect` through ``__reduce__``), which is the
-very per-query cost the micro-batch coalescer exists to amortize.
-Instead the worker flattens each result to a tuple of primitive tuples
-(~2 us to unpickle) and the parent's flat merge constructs ``Neighbor``
-objects *only for the k winners* that survive the cross-shard merge.
+A ``query`` reply does not ship :class:`~repro.core.query.NNResult`
+object graphs: unpickling one k=10 result costs tens of microseconds of
+parent-GIL time (each :class:`~repro.core.neighbors.Neighbor` drags a
+:class:`~repro.geometry.rect.Rect` through ``__reduce__``) for every
+shard asked, winners and losers alike.  Instead the worker flattens
+each result to a tuple of primitive tuples (~2 us to unpickle) and the
+parent's merge constructs ``Neighbor`` objects *only for the k winners*
+that survive the cross-shard merge.  Every reply takes this shape — a
+lone query is a window of one — so there is one codec to fuzz and the
+``shard.wire_us`` rung times the codec every sharded answer pays.
 
 The flat shape, one tuple per point::
 
@@ -18,13 +20,8 @@ rank order, and ``stats`` is the 12-scalar flattening of
 :class:`~repro.core.stats.SearchStats` (with its nested
 :class:`~repro.core.pruning.PruningStats`) produced by
 :func:`flatten_stats`.  ``inflate_stats(flatten_stats(s))`` round-trips
-bit-for-bit, which is what keeps batched answers identical to the
-per-query wire path — the differential test in ``tests/shard`` holds
-the two pickled answers equal byte-for-byte.
-
-The single-query ``("query", ...)`` op keeps shipping rich ``NNResult``
-objects: a lone reply has no batch to amortize the codec over, and the
-per-request path is the baseline the coalescer is measured against.
+bit-for-bit (``tests/shard/test_wire_properties.py`` holds the whole
+codec to that over generated results).
 
 Sampled requests additionally ship **compact span records** back from
 the worker (the ``("oks", ...)`` reply variants — see
@@ -109,7 +106,7 @@ def inflate_stats(flat: tuple) -> SearchStats:
 
 
 def flatten_result(result: NNResult) -> FlatResult:
-    """Flatten one per-shard result for the batch wire (worker side)."""
+    """Flatten one per-shard result for the wire (worker side)."""
     neighbors = result.neighbors
     return (
         tuple(n.payload for n in neighbors),

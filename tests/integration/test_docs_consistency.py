@@ -99,3 +99,20 @@ def test_readme_mentions_key_documents():
     for doc in ("DESIGN.md", "EXPERIMENTS.md", "docs/ALGORITHM.md",
                 "docs/API.md", "docs/REPRODUCING.md"):
         assert doc.split("/")[-1] in readme, f"README does not mention {doc}"
+
+
+def test_the_retired_shard_fork_stays_retired():
+    """One wire op, one submit, one merge: the names of the second copy
+    of the sharded gather path must not reappear in code or prose."""
+    retired = ("submit_batch", "_merge_flat", '"query_batch"')
+    files = sorted((ROOT / "docs").glob("*.md"))
+    files += sorted((ROOT / "src" / "repro" / "shard").glob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text()
+        for name in retired:
+            assert name not in text, (
+                f"{path.relative_to(ROOT)} mentions {name}: the sharded "
+                f"engine has one query op (a window), one submit per "
+                f"handle and one _merge"
+            )

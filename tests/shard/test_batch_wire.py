@@ -3,12 +3,14 @@
 `query_batch` is the amortized path the front door's micro-batch
 coalescer dispatches through, so its contract is precise: **answers**
 (payloads, distances, truncation verdicts, frontier bounds) must be
-bit-identical to per-query `query` calls, while the **effort counters**
-legitimately differ — the batch path skips the shard-level P3 prune, so
-its `nodes_accessed` reflects the full fan-out.  Tests here therefore
-assert answer parity and never stats equality.
+bit-identical to per-query `query` calls at epsilon 0, while the
+**effort counters** legitimately differ — the batch path skips the
+shard-level P3 prune, so its `nodes_accessed` reflects the full
+fan-out.  Tests here therefore assert answer parity and, past one
+shard, never stats equality.
 """
 
+import contextlib
 import time
 
 import pytest
@@ -17,7 +19,11 @@ from repro.audit.oracle import check_truncated_result
 from repro.baselines.linear_scan import linear_scan_items
 from repro.core.budget import Budget
 from repro.core.config import QueryConfig
-from repro.errors import InvalidParameterError, ShardLostError
+from repro.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    ShardLostError,
+)
 from repro.packed.kernels import run_packed_query
 from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
@@ -97,13 +103,10 @@ class TestWireCodec:
 class TestBatchParity:
     """Batch answers == per-query answers; stats are allowed to differ.
 
-    Two tiers, matching the engine-vs-single-tree contract: on the
-    tie-free uniform workload the parity is bit-for-bit including
-    payloads; on the adversarial tie workload it is the distance
-    sequence plus truncation verdict and frontier — payloads may differ
-    under *exact* cross-shard ties, because the per-query path's shard
-    prune (P3 on shard MBRs) discards equal-distance candidates sitting
-    exactly on the round-1 bound, which the batch fan-out merges in.
+    One wire, one merge, and a *strict* shard prune: the parity is the
+    full answer — payloads and rects included — on the tie-free uniform
+    workload and on the adversarial tie workload alike, where grid-
+    aligned queries put whole shards exactly on the round-1 bound.
     """
 
     @pytest.fixture(scope="class")
@@ -112,6 +115,21 @@ class TestBatchParity:
             items=tie_items, shards=3, options=FAST
         ) as eng:
             yield eng
+
+    @pytest.fixture(scope="class")
+    def tie_engines(self, tie_items, engine):
+        """The 3-shard process engine plus 2 and 5 shards, both modes."""
+        with contextlib.ExitStack() as stack:
+            yield [engine] + [
+                stack.enter_context(
+                    ShardedQueryEngine(
+                        items=tie_items, shards=shards, options=FAST,
+                        processes=processes,
+                    )
+                )
+                for shards in (2, 5)
+                for processes in (False, True)
+            ]
 
     @pytest.mark.parametrize("k", [1, 3, 7, 16])
     def test_uniform_batch_bit_identical_to_per_query(
@@ -130,16 +148,44 @@ class TestBatchParity:
                 assert _answer(got) == _answer(engine.query(q, k=k))
 
     @pytest.mark.parametrize("k", [1, 3, 7, 16])
-    def test_tie_batch_matches_distance_sequence(self, engine, k):
+    def test_tie_batch_matches_distance_sequence(self, tie_engines, k):
+        """...and payloads, rects, verdicts: the whole answer, under ties.
+
+        Fails with a ``>=`` shard prune: a shard whose MINDIST *equals*
+        the round-1 d_k holds equal-distance objects that win the
+        (distance², shard, rank) merge, which the fan-out sees.
+        """
         queries = tie_queries()
-        batch = engine.query_batch(queries, k=k)
-        for q, got in zip(queries, batch):
-            single = engine.query(q, k=k)
-            assert [n.distance_squared for n in got.neighbors] == [
-                n.distance_squared for n in single.neighbors
-            ]
-            assert got.truncated == single.truncated
-            assert got.frontier_distance == single.frontier_distance
+        for engine in tie_engines:
+            batch = engine.query_batch(queries, k=k)
+            for q, got in zip(queries, batch):
+                assert _answer(got) == _answer(engine.query(q, k=k)), (
+                    engine, q
+                )
+
+    @pytest.mark.parametrize("processes", [False, True])
+    def test_query_is_a_window_of_one(self, tie_items, processes):
+        """`query(q)` == `query_batch([q])[0]`; on one shard, stats too.
+
+        With a single shard there is nothing to prune, so the two
+        policies do the same work: same kernel, same codec, same merge.
+        """
+        queries = tie_queries()
+        for shards in (1, 3):
+            with ShardedQueryEngine(
+                items=tie_items, shards=shards, options=FAST,
+                processes=processes,
+            ) as engine:
+                for q in queries:
+                    for k in (1, 7):
+                        solo = engine.query(q, k=k)
+                        (windowed,) = engine.query_batch([q], k=k)
+                        assert _answer(windowed) == _answer(solo)
+                        if shards == 1:
+                            assert (
+                                windowed.stats.as_dict()
+                                == solo.stats.as_dict()
+                            )
 
     def test_tie_batch_is_deterministic(self, engine):
         queries = tie_queries()
@@ -244,3 +290,20 @@ class TestBatchDegradation:
             _kill_worker(engine, 1)
             with pytest.raises(ShardLostError):
                 engine.query_batch([(0.5, 0.5)], k=3)
+
+    def test_bad_point_is_a_typed_error_not_a_lost_engine(self, uniform_items):
+        """A wrong-dimension point fails its window and nothing else.
+
+        The worker ships the ``DimensionMismatchError`` back over the
+        pipe; an exception the parent cannot unpickle would kill the
+        reader thread and, with it, every shard the window reached.
+        """
+        with ShardedQueryEngine(
+            items=uniform_items, shards=2, options=FAST
+        ) as engine:
+            with pytest.raises(DimensionMismatchError):
+                engine.query_batch([(0.5, 0.5), (0.5, 0.5, 0.5)], k=3)
+            assert engine.liveness()["alive"] == [True, True]
+            (after,) = engine.query_batch([(0.5, 0.5)], k=3)
+            assert not after.truncated
+            assert engine.stats().failures == 1

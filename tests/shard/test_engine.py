@@ -18,14 +18,21 @@ from repro.baselines.linear_scan import linear_scan_items
 from repro.audit.oracle import check_result, check_truncated_result
 from repro.core.budget import Budget
 from repro.core.config import QueryConfig
+from repro.core.metrics import mindist_squared
+from repro.core.neighbors import Neighbor
 from repro.core.pruning import PruningConfig
+from repro.core.query import NNResult
+from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError
+from repro.geometry.rect import Rect
 from repro.packed.kernels import run_packed_query
 from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
+from repro.service.engine import QueryEngine
 from repro.service.options import EngineOptions
 from repro.service.protocol import Engine, EngineSnapshot
 from repro.shard import ShardedQueryEngine
+from repro.shard.wire import flatten_result
 
 from tests.shard.conftest import grid_tie_items, tie_queries
 
@@ -138,6 +145,47 @@ class TestConfigSemantics:
                     )
             assert truncated_seen > 0, "2-page budget never truncated?"
 
+    def test_truncated_shard_beside_a_pruned_one_stays_sound(self):
+        """Round 1 completes, a round-2 shard truncates, a third is pruned.
+
+        Hand-placed so a 3-page budget does all three at once: shard A's
+        nearest leaf answers k=4 by itself (2 pages, bound 0.5²), shard
+        B's three tall columns sit 0.2 away and need a fourth page, and
+        shard C is a thousand units off.  The merged frontier then has
+        to cover what B did not read *and* what was never asked of C.
+        """
+        points = [(0.2 * i, 0.0) for i in range(8)]
+        points += [(-50.0 - 0.01 * i, 0.0) for i in range(8)]
+        points += [(-100.0 - 0.01 * i, 0.0) for i in range(8)]
+        points += [
+            (x, -35.0 + 10.0 * j) for x in (1.5, 1.6, 1.7) for j in range(8)
+        ]
+        points += [(1000.0 + i, float(i % 5)) for i in range(24)]
+        items = [(Rect.from_point(p), i) for i, p in enumerate(points)]
+        q, k = (1.3, 0.0), 4
+        cfg = QueryConfig(k=k, budget=Budget(max_pages=3))
+        with ShardedQueryEngine(
+            items=items, shards=3, options=FAST, processes=False
+        ) as engine:
+            result = engine.query(q, config=cfg)
+            stats = engine.stats()
+            assert (stats.shards_queried, stats.shards_pruned) == (2, 1)
+            assert result.truncated
+            assert result.truncation_reason == "pages"
+            far = engine._handles[2].mbr
+            assert result.stats.frontier_sq < mindist_squared(q, far)
+            assert (
+                check_truncated_result(
+                    result.neighbors,
+                    q,
+                    k,
+                    linear_scan_items(items, q, k=k),
+                    combo="sharded-budget-pruned",
+                    frontier=result.frontier_distance,
+                )
+                == []
+            )
+
     def test_pruning_config_p3_off_disables_shard_pruning(self, uniform_items):
         cfg = QueryConfig(k=3, pruning=PruningConfig(True, True, False))
         with ShardedQueryEngine(
@@ -159,6 +207,107 @@ class TestConfigSemantics:
                         k=1, object_distance_sq=lambda q, p, r: 0.0
                     ),
                 )
+
+
+def _reply(distances_sq, **stats):
+    """A hand-built `FlatResult`: point neighbors at the given distances."""
+    neighbors = [
+        Neighbor(
+            payload=rank,
+            rect=Rect.from_point((float(rank), 0.0)),
+            distance=d ** 0.5,
+            distance_squared=d,
+        )
+        for rank, d in enumerate(distances_sq)
+    ]
+    return flatten_result(
+        NNResult(neighbors=neighbors, stats=SearchStats(**stats))
+    )
+
+
+class TestMergeFrontier:
+    """`_merge` on hand-built replies: who may bound the merged frontier.
+
+    frontier² = min(truncated shards' frontier², lost shards' MINDIST²,
+    pruned shards' MINDIST²) — and pruned shards count only when
+    something else already made the answer incomplete.
+    """
+
+    CFG = QueryConfig(k=3)
+    BUDGETED = _reply(
+        [1.0, 2.0], truncated=True, truncation_reason="pages",
+        frontier_sq=9.0,
+    )
+
+    @pytest.fixture(scope="class")
+    def engine(self, uniform_items):
+        with ShardedQueryEngine(
+            items=uniform_items[:8], shards=1, options=FAST, processes=False
+        ) as eng:
+            yield eng
+
+    def test_pruned_shard_lowers_a_truncated_frontier(self, engine):
+        merged = engine._merge(self.CFG, [(0, self.BUDGETED)], [], [4.0])
+        assert merged.truncated
+        assert merged.truncation_reason == "pages"
+        assert merged.stats.frontier_sq == 4.0
+
+    def test_lost_shard_wins_the_reason_and_the_min(self, engine):
+        merged = engine._merge(self.CFG, [(0, self.BUDGETED)], [1.0], [4.0])
+        assert merged.truncated
+        assert merged.truncation_reason == "shard-lost"
+        assert merged.stats.frontier_sq == 1.0
+
+    def test_pruned_shards_alone_leave_the_answer_exact(self, engine):
+        merged = engine._merge(
+            self.CFG,
+            [(1, _reply([2.0, 5.0])), (0, _reply([2.0, 3.0]))],
+            [],
+            [4.0],
+        )
+        assert not merged.truncated
+        assert merged.truncation_reason == ""
+        assert merged.stats.frontier_sq == float("inf")
+        # (distance², shard, rank): shard 0's 2.0 beats shard 1's.
+        assert [
+            (n.distance_squared, n.rect.lo[0]) for n in merged.neighbors
+        ] == [(2.0, 0.0), (2.0, 0.0), (3.0, 1.0)]
+        assert merged.stats.nodes_accessed == 0
+
+
+class TestLatencyAccounting:
+    """One latency sample per answered query, whichever door it used."""
+
+    POINTS = [(100.0 * i, 50.0 * i) for i in range(8)]
+
+    def _mix(self, engine):
+        engine.query(self.POINTS[0], k=3)
+        engine.query_batch(self.POINTS, k=3)  # 1 hit + 7 misses
+        engine.query(self.POINTS[5], k=3)  # hit
+        engine.query_batch(self.POINTS[:3], k=3)  # all hits
+        return engine.stats()
+
+    @pytest.mark.parametrize("processes", [False, True])
+    def test_sharded_window_records_a_sample_per_point(
+        self, uniform_items, processes
+    ):
+        with ShardedQueryEngine(
+            items=uniform_items,
+            shards=2,
+            options=EngineOptions(workers=1, cache_size=64),
+            processes=processes,
+        ) as engine:
+            stats = self._mix(engine)
+            assert stats.queries == 13 and stats.cache_hits == 5
+            assert engine._latency.count == stats.queries
+
+    def test_thread_engine_is_the_reference(self, uniform_items):
+        tree = bulk_load(list(uniform_items), max_entries=8)
+        options = EngineOptions(workers=1, cache_size=64, packed=True)
+        with QueryEngine(tree, options=options) as engine:
+            stats = self._mix(engine)
+            assert stats.queries == 13
+            assert engine._latency.count == stats.queries
 
 
 class TestLifecycle:

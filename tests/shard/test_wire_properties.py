@@ -1,0 +1,104 @@
+"""The wire codec, held to its contract over *generated* results.
+
+Every sharded answer — a lone query is a window of one — crosses the
+process boundary as a pickled :data:`~repro.shard.wire.FlatResult`, so
+the codec gets properties, not examples: any ``NNResult`` a kernel could
+produce (and plenty none would) must survive ``flatten -> pickle ->
+unpickle -> inflate`` field for field and bit for bit, and flattening
+what came back must reproduce the original flat tuple.
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.neighbors import Neighbor
+from repro.core.pruning import PruningStats
+from repro.core.query import NNResult
+from repro.core.stats import SearchStats
+from repro.geometry.rect import Rect
+from repro.shard.wire import flatten_result, inflate_result
+
+pytestmark = pytest.mark.shard
+
+_coord = st.floats(
+    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
+)
+_extent = st.floats(min_value=1e-6, max_value=1e6)
+_distance = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_count = st.integers(min_value=1, max_value=2**40)
+
+_payload = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=8),
+    st.tuples(st.integers(), st.text(max_size=4)),
+)
+
+
+@st.composite
+def _rects(draw, dim):
+    lo = tuple(draw(_coord) for _ in range(dim))
+    if draw(st.booleans()):
+        return Rect.from_point(lo)
+    return Rect(lo, tuple(c + draw(_extent) for c in lo))
+
+
+@st.composite
+def _neighbors(draw, dim):
+    return Neighbor(
+        payload=draw(_payload),
+        rect=draw(_rects(dim)),
+        distance=draw(_distance),
+        distance_squared=draw(_distance),
+    )
+
+
+@st.composite
+def _stats(draw):
+    """Every counter non-zero, so a dropped or swapped field shows."""
+    reason = draw(st.sampled_from(["", "deadline", "pages", "shard-lost"]))
+    return SearchStats(
+        nodes_accessed=draw(_count),
+        leaf_accesses=draw(_count),
+        internal_accesses=draw(_count),
+        objects_examined=draw(_count),
+        branch_entries_considered=draw(_count),
+        pages_skipped_corrupt=draw(_count),
+        truncated=bool(reason),
+        truncation_reason=reason,
+        frontier_sq=draw(st.one_of(_distance, st.just(float("inf")))),
+        pruning=PruningStats(
+            p1_pruned=draw(_count),
+            p2_bound_updates=draw(_count),
+            p3_pruned=draw(_count),
+        ),
+    )
+
+
+@st.composite
+def results(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    neighbors = draw(st.lists(_neighbors(dim), min_size=0, max_size=6))
+    return NNResult(neighbors=neighbors, stats=draw(_stats()))
+
+
+def _bits(result):
+    """Distances by bit pattern: ``==`` would let -0.0 pass for 0.0."""
+    return [
+        (n.distance.hex(), n.distance_squared.hex())
+        for n in result.neighbors
+    ] + [result.stats.frontier_sq.hex()]
+
+
+@given(results())
+def test_round_trip_through_pickle_is_exact(result):
+    flat = flatten_result(result)
+    back = inflate_result(pickle.loads(pickle.dumps(flat)))
+    assert back.neighbors == result.neighbors  # payload, rect, distances
+    assert _bits(back) == _bits(result)
+    assert back.stats == result.stats
+    assert back.stats.pruning == result.stats.pruning
+    assert flatten_result(back) == flat
+
