@@ -8,11 +8,10 @@ insertion is slow in pure Python; STR is linearithmic).
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
+from repro._gcpause import _gc_paused
 from repro.errors import InvalidParameterError
 from repro.geometry.point import axis_columns
 from repro.rtree.entry import Entry
@@ -23,29 +22,6 @@ __all__ = ["bulk_load"]
 
 
 _PACK_METHODS = ("str", "hilbert", "morton")
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Disable the cyclic collector for the block; restore the state found.
-
-    A bulk load allocates ~10^6 cycle-free objects; every full collection on
-    the way re-traverses them for nothing (0.50 -> 0.39 s at n = 200k).  The
-    state is process-wide, and ``enable`` is only called by a thread that
-    *saw* it enabled, so threads A, B end enabled iff they started enabled:
-    ``A+ A- B+ B-`` each restores what it found; ``A+ B+ B- A-`` B saw
-    disabled, A re-enables; ``A+ B+ A- B-`` A re-enables early (B loses the
-    rest of its pause) and B leaves it; both reading "enabled" before either
-    disables ends in two ``enable`` calls.  Started disabled, nobody enables.
-    Nothing else in ``repro`` toggles the collector.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @_gc_paused()

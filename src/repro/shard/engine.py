@@ -51,8 +51,9 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._gcpause import _gc_paused
 from repro.core.config import QueryConfig
 from repro.core.metrics import mindist_squared
 from repro.core.query import NNResult, resolve_config
@@ -479,7 +480,8 @@ class ShardedQueryEngine:
     The engine is read-only: there is no ``insert``/``delete``; call
     :meth:`republish` with fresh items to swap the whole snapshot.
     Thread-safe: any thread may call ``query``/``submit``; ``republish``
-    and ``close`` exclude queries with a writer-preferring RW lock.
+    excludes queries with a writer-preferring RW lock for its handle swap
+    only, not for the build before it.
     """
 
     def __init__(
@@ -538,9 +540,9 @@ class ShardedQueryEngine:
         # — the /stats per-shard gauges and the advisor's balance signal.
         self._shard_requests: List[int] = []
         self._shard_pages: List[int] = []
-        source = list(tree.items()) if tree is not None else list(items)
+        source = tree.items() if tree is not None else items
         try:
-            self._publish(source, shards, boot=True)
+            self._publish(self._build_shards(source, shards, 1), boot=True)
         except BaseException:
             self._teardown()
             raise
@@ -559,10 +561,16 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------
     # Publish / swap
     # ------------------------------------------------------------------
+    @_gc_paused()
     def _build_shards(
-        self, source: List[Tuple[Any, Any]], shards: int, epoch: int
+        self, source: Iterable[Tuple[Any, Any]], shards: int, epoch: int
     ) -> Tuple[ShardPlan, List[PackedTree], List[ExportedSlab]]:
         """Partition, bulk-load, pack and (in process mode) export.
+
+        The allocation-heavy half of a publish (*source* arrives lazy).
+        It reads nothing a query writes, so ``republish`` runs it with
+        readers still served; the collector is paused over it and back
+        before anything forks — a child inherits the flag for life.
 
         A failure halfway through the export loop (shard ``i`` raising
         after shards ``0..i-1`` already hit ``/dev/shm``) unwinds by
@@ -575,7 +583,7 @@ class ShardedQueryEngine:
         slabs: List[ExportedSlab] = []
         try:
             for index, group in enumerate(plan.groups):
-                subtree = bulk_load(list(group), max_entries=self._max_entries)
+                subtree = bulk_load(group, max_entries=self._max_entries)
                 ptree = PackedTree.from_tree(subtree)
                 # Stamp the engine's publish epoch: it keys worker ready
                 # acks, segment names and the result cache.
@@ -593,10 +601,13 @@ class ShardedQueryEngine:
         return plan, ptrees, slabs
 
     def _publish(
-        self, source: List[Tuple[Any, Any]], shards: int, boot: bool
+        self,
+        built: Tuple[ShardPlan, List[PackedTree], List[ExportedSlab]],
+        boot: bool,
     ) -> None:
+        """The swap half of a publish; ``republish`` holds the write lock."""
+        plan, ptrees, slabs = built
         epoch = self._epoch + 1
-        plan, ptrees, slabs = self._build_shards(source, shards, epoch)
         try:
             if not boot and plan.shards != len(self._handles):
                 raise InvalidParameterError(
@@ -666,21 +677,27 @@ class ShardedQueryEngine:
     ) -> int:
         """Swap the served snapshot for fresh data; returns the new epoch.
 
-        One name-publish per shard: new segments are exported under the
-        next epoch, workers re-attach (dead workers are respawned), and
-        the previous epoch's segments are unlinked only after every
-        worker acknowledged.  Queries in flight during the swap see the
-        old epoch; queries after it see the new one — the result cache
-        is keyed by epoch, so no stale answer survives.
+        The next epoch is planned, loaded, packed and exported under
+        ``_swap_lock`` only: queries are answered from the current epoch
+        for as long as that build takes.  Readers are excluded for the
+        swap alone — one name-publish per shard, workers re-attach (dead
+        ones are respawned), the previous epoch's segments unlinked only
+        after every worker acknowledged.  Queries after it see the new
+        epoch; the result cache is keyed by epoch, so no stale answer
+        survives.  A failed build or swap unlinks its own segments
+        (docs/SHARDING.md names the one hole in "leaves the rest alone").
         """
         if (tree is None) == (items is None):
             raise InvalidParameterError("pass exactly one of tree= or items=")
-        source = list(tree.items()) if tree is not None else list(items)
+        source = tree.items() if tree is not None else items
         with self._swap_lock:
             self._ensure_open()
+            built = self._build_shards(
+                source, len(self._handles), self._epoch + 1
+            )
             with self._rwlock.write():
-                self._publish(source, len(self._handles), boot=False)
-                return self._epoch
+                self._publish(built, boot=False)
+            return self._epoch
 
     # ------------------------------------------------------------------
     # Queries

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.geometry.point import axis_columns
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _from_bounds
 
 __all__ = ["ShardPlan", "plan_shards", "PARTITION_METHODS"]
 
@@ -75,7 +75,7 @@ class ShardPlan:
 
 
 def plan_shards(
-    items: Sequence[Item],
+    items: Iterable[Item],
     shards: int,
     method: str = "auto",
 ) -> ShardPlan:
@@ -98,39 +98,52 @@ def plan_shards(
     if not pool:
         raise InvalidParameterError("cannot partition an empty item set")
     effective = min(shards, len(pool))
-    centers = [rect.center for rect, _ in pool]
+    # Point rects as ``from_point`` builds them (``lo is hi``) are their own
+    # centers (``Rect.center`` returns that tuple): one walk yields the sort
+    # keys and both bounds.  A box or a stray dimension ends the walk.
+    dimension = len(pool[0][0].lo)
+    centers = []
+    for rect, _ in pool:
+        lo = rect.lo
+        if lo is not rect.hi or len(lo) != dimension:
+            break
+        centers.append(lo)
+    points = len(centers) == len(pool)
+    if not points:
+        centers = [rect.center for rect, _ in pool]
     if method == "auto":
         method = "hash" if _zero_extent(centers) else "str"
-    if method == "str":
-        groups = _str_groups(pool, centers, effective)
+    if method == "hash":
+        groups = [tuple(g) for g in _hash_groups(pool, centers, effective)]
     else:
-        groups = _hash_groups(pool, centers, effective)
-    mbrs = tuple(
-        Rect.union_all([rect for rect, _ in group]) for group in groups
-    )
-    return ShardPlan(
-        method=method,
-        groups=tuple(tuple(group) for group in groups),
-        mbrs=mbrs,
-    )
+        columns = axis_columns(centers)
+        runs = _str_runs(columns, len(pool), effective)
+        groups = [tuple(map(pool.__getitem__, run)) for run in runs]
+    if points and method == "str":
+        # ``union_all``'s box off the key columns: same floats, same order,
+        # so ``min`` / ``max`` keep the same first of equals (-0.0 vs 0.0).
+        mbrs = [_from_bounds(Rect, *_run_bounds(columns, run)) for run in runs]
+    else:
+        mbrs = [Rect.union_all([rect for rect, _ in g]) for g in groups]
+    return ShardPlan(method=method, groups=tuple(groups), mbrs=tuple(mbrs))
 
 
 # ----------------------------------------------------------------------
 # STR tiling
 # ----------------------------------------------------------------------
 
-def _str_groups(
-    pool: List[Item], centers: List[Sequence[float]], shards: int
-) -> List[List[Item]]:
-    """Sort-tile-recursive bisection into exactly *shards* groups.
+def _str_runs(
+    columns: List[List[float]], size: int, shards: int
+) -> List[List[int]]:
+    """Sort-tile-recursive bisection into exactly *shards* index runs.
 
     Splitting the shard count (not the item count) in half at each level
     keeps sizes within one item of each other for any *shards*, while
     each cut stays a clean spatial slab along the currently widest axis
     — the same sort-and-slice discipline as the STR bulk loader, without
-    requiring a perfect square of tiles.
+    requiring a perfect square of tiles.  Runs of item *indices*, C-level
+    sort key: same floats, stable, same order as sorting the items.
     """
-    columns = axis_columns(centers)
 
     def split(run: List[int], want: int) -> List[List[int]]:
         if want == 1 or len(run) <= 1:
@@ -145,20 +158,20 @@ def _str_groups(
         cut = max(left_want, min(len(run) - right_want, cut))
         return split(run[:cut], left_want) + split(run[cut:], right_want)
 
-    # Runs of item *indices*, C-level sort key: same floats, stable, same order.
-    return [[pool[i] for i in run] for run in split(list(range(len(pool))), shards)]
+    return split(list(range(size)), shards)
 
 
-def _widest_axis(columns: List[Sequence[float]], run: List[int]) -> int:
-    best_axis = 0
-    best_extent = -1.0
-    for axis, column in enumerate(columns):
-        values = [column[i] for i in run]
-        extent = max(values) - min(values)
-        if extent > best_extent:
-            best_extent = extent
-            best_axis = axis
-    return best_axis
+def _run_bounds(
+    columns: List[List[float]], run: List[int]
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Per-axis ``(min, max)`` of the key columns over *run*, in run order."""
+    values = [list(map(column.__getitem__, run)) for column in columns]
+    return tuple(map(min, values)), tuple(map(max, values))
+
+
+def _widest_axis(columns: List[List[float]], run: List[int]) -> int:
+    extents = [hi - lo for lo, hi in zip(*_run_bounds(columns, run))]
+    return extents.index(max(extents))  # the first of equally wide axes
 
 
 def _zero_extent(centers: List[Sequence[float]]) -> bool:

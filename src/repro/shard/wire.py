@@ -43,7 +43,7 @@ from repro.core.pruning import PruningStats
 from repro.core.query import NNResult
 from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, _from_bounds
 from repro.obs.spans import WIRE_PARENT
 
 __all__ = [
@@ -128,7 +128,8 @@ def inflate_neighbor(flat: FlatResult, rank: int) -> Neighbor:
     payloads, distances, distances_squared, los, his, _ = flat
     return Neighbor(
         payload=payloads[rank],
-        rect=Rect(los[rank], his[rank]),
+        # Bounds a worker read out of validated rects: nothing to re-check.
+        rect=_from_bounds(Rect, los[rank], his[rank]),
         distance=distances[rank],
         distance_squared=distances_squared[rank],
     )

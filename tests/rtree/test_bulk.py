@@ -253,17 +253,31 @@ class TestCollectorPause:
         assert gc.isenabled() is start
 
     def test_nothing_else_in_repro_toggles_the_collector(self):
+        """One module calls ``gc.enable`` / ``gc.disable`` — the pause's
+        home, which ``bulk_load`` and the sharded build both import —
+        and nothing freezes the heap or retunes the thresholds."""
         import pathlib
 
         import repro
 
         root = pathlib.Path(repro.__file__).parent
-        togglers = [
-            path.relative_to(root).as_posix()
+        sources = {
+            path.relative_to(root).as_posix(): path.read_text()
             for path in root.rglob("*.py")
-            if re.search(r"\bgc\.(enable|disable|freeze|set_threshold)\b", path.read_text())
+        }
+        togglers = [
+            name for name, text in sources.items()
+            if re.search(r"\bgc\.(enable|disable)\b", text)
         ]
-        assert togglers == ["rtree/bulk.py"]
+        assert togglers == ["_gcpause.py"]
+        assert not [
+            name for name, text in sources.items()
+            if re.search(r"\bgc\.(freeze|unfreeze|set_threshold)\b", text)
+        ]
+        users = sorted(
+            name for name, text in sources.items() if "_gc_paused()" in text
+        )
+        assert users == ["_gcpause.py", "rtree/bulk.py", "shard/engine.py"]
 
 
 def test_point_rects_share_one_coordinate_tuple():

@@ -102,3 +102,28 @@ def test_round_trip_through_pickle_is_exact(result):
     assert back.stats.pruning == result.stats.pruning
     assert flatten_result(back) == flat
 
+
+@given(
+    point=st.lists(
+        st.one_of(_coord, st.sampled_from([0.0, -0.0])), min_size=1, max_size=3
+    ),
+    payload=_payload,
+    distance=_distance,
+)
+def test_point_rect_comes_back_a_point_rect(point, payload, distance):
+    """``inflate_neighbor`` binds the wire's bounds without re-validating
+    them; what it builds is still the rect that went in."""
+    rect = Rect.from_point(point)
+    result = NNResult(
+        neighbors=[Neighbor(payload, rect, distance, distance * distance)],
+        stats=SearchStats(),
+    )
+    flat = pickle.loads(pickle.dumps(flatten_result(result)))
+    back = inflate_result(flat).neighbors[0].rect
+    assert type(back) is Rect and back.lo == back.hi
+    assert back == rect and hash(back) == hash(rect)
+    assert repr(back) == repr(rect)
+    assert [c.hex() for c in back.lo + back.hi] == [c.hex() for c in rect.lo * 2]
+    again = pickle.loads(pickle.dumps(back))  # bytes differ: ``lo is hi`` memoizes
+    assert again == rect and (again.lo, again.hi) == (back.lo, back.hi)
+    assert type(back.lo) is tuple and all(type(c) is float for c in back.lo)
