@@ -26,7 +26,7 @@ import pickle
 import statistics
 import sys
 import time
-from typing import Any, List, Sequence
+from typing import Any, List, Sequence, Tuple
 
 from bench_cold_start import CONFIG, MAX_ENTRIES, OPTIONS, SHARDS, Phases, host_stamp
 
@@ -34,6 +34,7 @@ from repro import ShardedQueryEngine
 from repro.core.metrics import mindist_squared
 from repro.datasets import uniform_points
 from repro.geometry.rect import Rect
+from repro.packed import kernels
 from repro.packed.batch import run_packed_batch
 from repro.shard.slab import attach_slab
 from repro.shard.wire import flatten_result
@@ -88,16 +89,19 @@ def pipe_one_way(payload: bytes, rounds: int, stops: Stops) -> None:
         proc.join(timeout=10.0)
 
 
-def walk(engine: ShardedQueryEngine, queries: Sequence[Any], stops: Stops) -> bytes:
+def walk(engine: ShardedQueryEngine, queries: Sequence[Any], stops: Stops) -> Tuple[bytes, int]:
     """Time every stop of a one-shard visit, query by query.
 
-    Returns the last pickled reply (the payload :func:`pipe_one_way` echoes).
+    Returns the last pickled reply (the payload :func:`pipe_one_way`
+    echoes) and how many kernel stops the packed kernel's selection sent
+    to the numpy block rather than the solo loop.
     """
     handles = engine._handles
     # The worker's own view of each shard: a zero-copy attach of the
     # segments the engine published.
     attached = [attach_slab(slab.manifest) for slab in engine._slabs]
     reply_bytes = b""
+    blocks = 0
     try:
         for rid, point in enumerate(queries, 1):
             window = [point]
@@ -108,6 +112,7 @@ def walk(engine: ShardedQueryEngine, queries: Sequence[Any], stops: Stops) -> by
             request = ("query", rid, window, CONFIG)
             wire = stops.time("request pickle.dumps", lambda: pickle.dumps(request))
             stops.time("request pickle.loads (worker)", lambda: pickle.loads(wire))
+            blocks += kernels._select_block(attached[near].ptree) is not None
             (result,) = stops.time(
                 "kernel (nearest shard, window of one)",
                 lambda: run_packed_batch(attached[near].ptree, window, CONFIG),
@@ -141,7 +146,7 @@ def walk(engine: ShardedQueryEngine, queries: Sequence[Any], stops: Stops) -> by
     finally:
         for slab in attached:
             slab.close()
-    return reply_bytes
+    return reply_bytes, blocks
 
 
 def main(argv: Sequence[str] = ()) -> int:
@@ -169,10 +174,19 @@ def main(argv: Sequence[str] = ()) -> int:
         gc.collect()
         gc.freeze()  # perf/'s GC policy: set-up is frozen, GC stays on
         before = engine.stats()
-        reply_bytes = walk(engine, queries, stops)
+        reply_bytes, blocks = walk(engine, queries, stops)
         after = engine.stats()
+        mean = statistics.fmean(
+            slab.manifest.entry_count / slab.manifest.node_count for slab in engine._slabs
+        )
     pipe_one_way(reply_bytes, rounds, stops)
     stops.report()
+    print(
+        f"\nkernel stop: the numpy block in {blocks} of {rounds} queries, the solo loop"
+        f" in the rest (shards' mean entries/node {mean:.1f}; the block needs"
+        f" >= {kernels._BLOCK_MIN_FANOUT} and < {1e3 * kernels._BLOCK_WARM_S:g} ms"
+        " since the process's previous query)"
+    )
 
     visits = (after.shards_queried - before.shards_queried) / (after.executed - before.executed)
     in_rtt = (

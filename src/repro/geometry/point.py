@@ -28,20 +28,24 @@ __all__ = [
 
 Point = Tuple[float, ...]
 
+#: Largest accepted |coordinate|: squared distances, at most d * (2e150)**2,
+#: stay finite for d < 4e7 (docs/INTERNALS.md "Geometry").
+_COORD_LIMIT = 1e150
+
 
 def as_point(coords: Sequence[float]) -> Point:
     """Validate and normalize a coordinate sequence into a point tuple.
 
     Raises :class:`GeometryError` if the sequence is empty or contains a
-    non-finite coordinate (NaN or infinity), since downstream distance
-    comparisons silently misbehave on NaN.
+    coordinate that is NaN, infinite or beyond ±1e150, since downstream
+    distance comparisons silently misbehave on NaN and overflow beyond it.
     """
     point = tuple(float(c) for c in coords)
     if not point:
         raise GeometryError("a point needs at least one coordinate")
     for c in point:
-        if not math.isfinite(c):
-            raise GeometryError(f"non-finite coordinate {c!r} in point {point!r}")
+        if not -_COORD_LIMIT <= c <= _COORD_LIMIT:  # also false for NaN
+            raise GeometryError(f"coordinate {c!r} not within ±1e150 in {point!r}")
     return point
 
 

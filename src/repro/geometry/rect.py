@@ -9,12 +9,11 @@ line-segments' bounding boxes with zero extent on some axis) are valid.
 
 from __future__ import annotations
 
-from math import isfinite
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import DimensionMismatchError, GeometryError, InvalidRectError
-from repro.geometry.point import Point
+from repro.geometry.point import _COORD_LIMIT, Point
 
 __all__ = ["Rect", "union_area"]
 
@@ -53,9 +52,10 @@ class Rect:
             raise GeometryError("a rectangle needs at least one dimension")
         if len(lo_t) != len(hi_t):
             raise DimensionMismatchError(len(lo_t), len(hi_t), "rect bounds")
+        limit = _COORD_LIMIT
         for a, b in zip(lo_t, hi_t):
-            if not (isfinite(a) and isfinite(b)):
-                raise GeometryError(f"non-finite bound in rect ({lo_t}, {hi_t})")
+            if not (-limit <= a <= limit and -limit <= b <= limit):
+                raise GeometryError(f"rect bound not within ±1e150 in {lo_t}, {hi_t}")
             if a > b:
                 raise InvalidRectError(
                     f"lower bound {a} exceeds upper bound {b} in rect "
@@ -89,9 +89,10 @@ class Rect:
         coords = tuple(map(float, point))
         if not coords:
             raise GeometryError("a rectangle needs at least one dimension")
+        limit = _COORD_LIMIT
         for c in coords:
-            if not isfinite(c):
-                raise GeometryError(f"non-finite bound in rect ({coords}, {coords})")
+            if not -limit <= c <= limit:
+                raise GeometryError(f"rect bound not within ±1e150 in {coords}")
         return _from_bounds(cls, coords, coords)
 
     @classmethod

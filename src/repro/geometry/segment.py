@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.errors import DimensionMismatchError, GeometryError
-from repro.geometry.point import Point, euclidean_squared
+from repro.errors import DimensionMismatchError
+from repro.geometry.point import Point, as_point, euclidean_squared
 from repro.geometry.rect import Rect
 
 __all__ = ["Segment"]
@@ -27,15 +27,10 @@ class Segment:
     end: Point
 
     def __init__(self, start: Sequence[float], end: Sequence[float]) -> None:
-        start_t = tuple(float(c) for c in start)
-        end_t = tuple(float(c) for c in end)
-        if not start_t:
-            raise GeometryError("a segment needs at least one dimension")
+        start_t = as_point(start)  # the coordinate contract
+        end_t = as_point(end)
         if len(start_t) != len(end_t):
             raise DimensionMismatchError(len(start_t), len(end_t), "segment")
-        for c in start_t + end_t:
-            if not math.isfinite(c):
-                raise GeometryError("non-finite coordinate in segment endpoint")
         object.__setattr__(self, "start", start_t)
         object.__setattr__(self, "end", end_t)
 

@@ -413,21 +413,43 @@ def packed_nearest_batch(
             "extra or pass vectorize=None/False for the fallback path"
         )
     use_np = NUMPY_AVAILABLE if vectorize is None else bool(vectorize)
-    statses = [SearchStats() for _ in queries]
     # Compile-time corrupt-page skips degrade every query on the
     # snapshot; see packed_nearest_dfs.
-    for stats in statses:
-        stats.pages_skipped_corrupt = ptree.pages_skipped_corrupt
-    if not queries:
-        return []
+    skipped = ptree.pages_skipped_corrupt
     if ptree.size == 0:
-        return [([], stats) for stats in statses]
+        return [([], SearchStats(pages_skipped_corrupt=skipped)) for _ in queries]
     dim = ptree.dimension
     for q in queries:
         if dim != len(q):
             raise DimensionMismatchError(dim, len(q), "query point")
 
-    shrink_sq = 1.0 / (1.0 + epsilon) ** 2
+    # No more than ``size`` objects can be offered, so the smaller heap
+    # behaves exactly like a ``k``-slot one (see kernels._begin_query).
+    slots = min(k, ptree.size)
+    agendas = [
+        _Agenda(q, slots, SearchStats(pages_skipped_corrupt=skipped))
+        for q in queries
+    ]
+    _advance(ptree, agendas, 1.0 / (1.0 + epsilon) ** 2, tracker, use_np)
+    return [(_heap_to_neighbors(ptree, a.heap), a.stats) for a in agendas]
+
+
+def _window_of_one(
+    ptree: PackedTree, query: Tuple[float, ...], slots: int, shrink_sq: float,
+    tracker: Optional[AccessTracker], stats: SearchStats,
+) -> List[tuple]:
+    """The block as a solo loop (``_best_first_2d``'s arguments and heap)."""
+    agenda = _Agenda(query, slots, stats)
+    _advance(ptree, [agenda], shrink_sq, tracker, True)
+    return agenda.heap
+
+
+def _advance(
+    ptree: PackedTree, agendas: List[_Agenda], shrink_sq: float,
+    tracker: Optional[AccessTracker], use_np: bool,
+) -> None:
+    """Run every agenda to completion in lockstep rounds; fill its stats."""
+    dim = ptree.dimension
     kinds = ptree.kinds
     starts = ptree.starts
     refs = ptree.refs
@@ -443,12 +465,6 @@ def packed_nearest_batch(
     else:
         views = refs_np = scratch = None
 
-    # No more than ``size`` objects can be offered, so the smaller heap
-    # behaves exactly like a ``k``-slot one (see kernels._begin_query).
-    slots = min(k, ptree.size)
-    agendas = [
-        _Agenda(q, slots, stats) for q, stats in zip(queries, statses)
-    ]
     live = agendas
     while live:
         # One round: each live query pops the head of its own frontier
@@ -644,7 +660,6 @@ def packed_nearest_batch(
                     a.internals += 1
                     a.branch += count
 
-    out: List[Tuple[List[Neighbor], SearchStats]] = []
     for a in agendas:
         stats = a.stats
         stats.nodes_accessed = a.leaves + a.internals
@@ -653,8 +668,6 @@ def packed_nearest_batch(
         stats.objects_examined = a.objects
         stats.branch_entries_considered = a.branch
         stats.pruning.p3_pruned = a.p3
-        out.append((_heap_to_neighbors(ptree, a.heap), stats))
-    return out
 
 
 def run_packed_batch(
@@ -668,11 +681,11 @@ def run_packed_batch(
 
     The batch mirror of :func:`run_packed_query`: windows of two or
     more under a best-first config without a budget take the multi-query
-    kernel above; a window of one (bit-identical either way, but the
-    solo loop is faster below fanout ~64) and every other config (DFS
-    orderings, budgets — whose wall-clock truncation points are
-    inherently per-query) fall back to a solo-kernel loop, so callers
-    can route *any* window here safely.  Raises
+    kernel above; a window of one (which that kernel's selection may
+    still send to the numpy block) and every other config (DFS orderings,
+    budgets — whose wall-clock truncation points are inherently
+    per-query) go through :func:`run_packed_query`, so callers can route
+    *any* window here safely.  Raises
     :class:`InvalidParameterError` for ``object_distance_sq`` configs,
     exactly like the solo dispatcher.
     """

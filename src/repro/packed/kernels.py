@@ -30,8 +30,9 @@ ordering/pruning/epsilon combination, with ``None``-checked budget-clock
 and trace hooks) plus 2-D specializations without the hooks
 (:func:`_dfs_2d_fast`, :func:`_dfs_2d_general`, :func:`_best_first_2d`),
 which the entry points select when ``dim == 2 and trace is None and
-budget is None``.  docs/INTERNALS.md ("Packed kernel dispatch") holds the
-measurements behind that split.
+budget is None`` — unless :func:`_select_block` sends a hot best-first
+query to the numpy block of :mod:`repro.packed.batch`.  docs/INTERNALS.md
+("Packed kernel dispatch") holds the measurements behind both choices.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import math
 from bisect import bisect_right
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from time import perf_counter as _clock
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.trace import Trace
@@ -74,6 +76,12 @@ _DEFAULT_PRUNING_KN = PruningConfig.all().effective_for_k(2)
 #: Prefill item for the candidate heap: a slot at distance +inf that any
 #: real candidate displaces; entry index -1 marks it for the materializer.
 _SENTINEL = (-math.inf, 0, -1)
+#: The numpy block's gate (benchmarks/bench_kernel_select.py measures
+#: both crossovers): mean entries per node, and seconds since this
+#: process's previous best-first query finished.
+_BLOCK_MIN_FANOUT = 96
+_BLOCK_WARM_S = 0.00075
+_last_done = -math.inf
 
 
 def _check_k_epsilon(k: int, epsilon: float) -> None:
@@ -198,24 +206,49 @@ def packed_nearest_best_first(
     trace: Optional["Trace"] = None,
     budget: Optional[Budget] = None,
 ) -> Tuple[List[Neighbor], SearchStats]:
-    """Packed equivalent of
-    :func:`repro.core.knn_best_first.nearest_best_first` (same contract
-    and the same loop selection as :func:`packed_nearest_dfs`)."""
+    """Packed equivalent of :func:`repro.core.knn_best_first.nearest_best_first`
+    (same contract and loop selection as :func:`packed_nearest_dfs`, plus the
+    numpy block for a hot hook-free query: :func:`_select_block`)."""
+    global _last_done
     query, stats, slots, shrink_sq = _begin_query(ptree, point, k, epsilon)
     if not slots:
         return [], stats
-    if ptree.dimension == 2 and trace is None and budget is None:
+    hooked = trace is not None or budget is not None
+    block = None if hooked else _select_block(ptree)
+    if block is not None:
+        heap = block(ptree, query, slots, shrink_sq, tracker, stats)
+    elif ptree.dimension == 2 and not hooked:
         heap = _best_first_2d(
             ptree, query[0], query[1], slots, shrink_sq, tracker, stats
         )
-        return _heap_to_neighbors(ptree, heap), stats
-    clock = budget.start() if budget is not None else None
-    heap, frontier_sq = _best_first_general(
-        ptree, query, slots, shrink_sq, tracker, stats, clock, trace
-    )
-    return _finish_instrumented(
-        ptree, heap, frontier_sq, stats, trace, budget, clock
-    )
+    else:
+        clock = budget.start() if budget is not None else None
+        heap, frontier_sq = _best_first_general(
+            ptree, query, slots, shrink_sq, tracker, stats, clock, trace
+        )
+        _last_done = _clock()
+        return _finish_instrumented(
+            ptree, heap, frontier_sq, stats, trace, budget, clock
+        )
+    _last_done = _clock()
+    return _heap_to_neighbors(ptree, heap), stats
+
+
+def _select_block(ptree: PackedTree) -> Optional[Callable[..., List[tuple]]]:
+    """The numpy block when the tree is wide and the caches warm, else None.
+
+    Only the time differs: the answer and ``SearchStats`` are the solo
+    loop's either way (tests/packed/test_block_selection.py).
+    """
+    starts = ptree.starts
+    if (
+        starts[-1] < _BLOCK_MIN_FANOUT * (len(starts) - 1)
+        or _clock() - _last_done >= _BLOCK_WARM_S
+    ):
+        return None
+    from repro.packed import batch  # call time: batch imports this module
+
+    return batch._window_of_one if batch._np is not None else None
 
 
 def run_packed_query(

@@ -45,6 +45,7 @@ from repro.errors import (
     InvalidParameterError,
     QuotaExceeded,
 )
+from repro.geometry.point import _COORD_LIMIT
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanContext, SpanLog, SpanSampler
 from repro.server.coalesce import Coalescer
@@ -543,20 +544,20 @@ class NNServer:
 
     @staticmethod
     def _point(value: Any) -> Tuple[float, ...]:
-        # bool is an int subclass, and json.loads admits NaN/Infinity
-        # tokens and overflowing literals (1e999): none is a coordinate.
+        # bool is an int subclass; json.loads admits NaN/Infinity tokens and
+        # overflowing literals (1e999): none is within as_point's bound.
         if (
             not isinstance(value, (list, tuple))
             or not value
             or not all(
                 isinstance(c, (int, float))
                 and not isinstance(c, bool)
-                and math.isfinite(c)
+                and -_COORD_LIMIT <= c <= _COORD_LIMIT
                 for c in value
             )
         ):
             raise HTTPError(
-                400, "point must be a non-empty array of finite numbers"
+                400, "point must be a non-empty array of numbers within ±1e150"
             )
         return tuple(float(c) for c in value)
 

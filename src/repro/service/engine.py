@@ -520,8 +520,8 @@ class QueryEngine:
             with self._rwlock.read():
                 epoch = self._observe_epoch()
                 use_cache = self.cache.capacity > 0
-                key = (_point_key(point), cfg.cache_key(), epoch)
                 if use_cache:
+                    key = (_point_key(point), cfg.cache_key(), epoch)
                     cached = self.cache.get(key, _CACHE_MISS)
                     if cached is not _CACHE_MISS:
                         self._count_hit()

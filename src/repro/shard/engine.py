@@ -59,12 +59,12 @@ from repro.core.metrics import mindist_squared
 from repro.core.query import NNResult, resolve_config
 from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError, ShardLostError
+from repro.geometry.point import as_point
 from repro.geometry.rect import Rect
 from repro.obs.spans import SpanContext
 from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
 from repro.service.cache import ResultCache
-from repro.service.engine import _point_key
 from repro.service.locks import ReadWriteLock
 from repro.service.options import EngineOptions
 from repro.service.protocol import EngineSnapshot
@@ -780,6 +780,7 @@ class ShardedQueryEngine:
         start = time.perf_counter()
         start_s = time.time() if span_ctxs is not None else 0.0
         try:
+            points = [as_point(p) for p in points]
             with self._rwlock.read():
                 epoch = self._epoch
                 use_cache = self.cache.capacity > 0
@@ -789,7 +790,7 @@ class ShardedQueryEngine:
                 misses: List[int] = []
                 for idx, point in enumerate(points):
                     key = (
-                        (_point_key(point), cfg.cache_key(), epoch)
+                        (point, cfg.cache_key(), epoch)
                         if use_cache
                         else None
                     )
@@ -803,7 +804,7 @@ class ShardedQueryEngine:
                     misses.append(idx)
                 if misses:
                     merged = self._scatter_batch(
-                        [_point_key(points[i]) for i in misses],
+                        [points[i] for i in misses],
                         cfg,
                         (
                             [span_ctxs[i] for i in misses]
@@ -1030,11 +1031,12 @@ class ShardedQueryEngine:
             else None
         )
         try:
+            point = as_point(point)  # before the shard MBRs see it
             with self._rwlock.read():
                 epoch = self._epoch
                 use_cache = self.cache.capacity > 0
-                key = (_point_key(point), cfg.cache_key(), epoch)
                 if use_cache:
+                    key = (point, cfg.cache_key(), epoch)
                     cached = self.cache.get(key, _CACHE_MISS)
                     if cached is not _CACHE_MISS:
                         with self._stats_lock:
@@ -1044,7 +1046,7 @@ class ShardedQueryEngine:
                             serve_span.annotate(cache="hit", epoch=epoch)
                         return cached
                 result = self._scatter(
-                    _point_key(point), cfg, span_ctx,
+                    point, cfg, span_ctx,
                     serve_span.id if serve_span is not None else None,
                 )
                 if use_cache and not result.stats.truncated:
@@ -1113,7 +1115,7 @@ class ShardedQueryEngine:
         rest: List[int] = []
         per_shard: Dict[int, List[FlatResult]] = {}
         for pos, i in enumerate(order):
-            if minds[i] == _INF:
+            if handles[i].mbr is None:
                 continue  # empty shard: nothing to ask
             if handles[i].dead:
                 lost.append(i)
@@ -1133,7 +1135,7 @@ class ShardedQueryEngine:
         # distance object that wins the merge's (d², shard, rank) order.
         in_flight: List[Tuple[int, Future, Optional[float]]] = []
         for i in rest:
-            if minds[i] == _INF:
+            if handles[i].mbr is None:
                 continue
             if bound < _INF and minds[i] > bound * shrink_sq:
                 pruned_minds.append(minds[i])
@@ -1298,22 +1300,29 @@ class ShardedQueryEngine:
 
         Distances are read straight out of the columnar replies and
         ``Neighbor`` objects are constructed only for the k winners,
-        which is what keeps the gather cheap on the parent GIL.
+        which is what keeps the gather cheap on the parent GIL.  A lone
+        reply (nearly every query) is in merge order already.
         """
-        stats = SearchStats()
-        entries: List[Tuple[float, int, int, FlatResult]] = []
-        for shard_index, flat in sorted(collected, key=lambda t: t[0]):
-            stats.merge(inflate_stats(flat[5]))
-            for rank, dist_sq in enumerate(flat[2]):
-                entries.append((dist_sq, shard_index, rank, flat))
-        # The kernels break exact distance ties by accept order within
-        # one tree; across shards the deterministic extension is
-        # (distance², shard, within-shard rank).
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        neighbors = [
-            inflate_neighbor(entry[3], entry[2])
-            for entry in entries[:cfg.k]
-        ]
+        if len(collected) == 1:
+            flat = collected[0][1]
+            stats = inflate_stats(flat[5])
+            ranks = range(min(cfg.k, len(flat[2])))
+            neighbors = [inflate_neighbor(flat, rank) for rank in ranks]
+        else:
+            stats = SearchStats()
+            entries: List[Tuple[float, int, int, FlatResult]] = []
+            for shard_index, flat in sorted(collected, key=lambda t: t[0]):
+                stats.merge(inflate_stats(flat[5]))
+                for rank, dist_sq in enumerate(flat[2]):
+                    entries.append((dist_sq, shard_index, rank, flat))
+            # The kernels break exact distance ties by accept order within
+            # one tree; across shards the deterministic extension is
+            # (distance², shard, within-shard rank).
+            entries.sort(key=lambda e: (e[0], e[1], e[2]))
+            neighbors = [
+                inflate_neighbor(entry[3], entry[2])
+                for entry in entries[:cfg.k]
+            ]
 
         shard_frontiers = [
             flat[5][8] for _, flat in collected if flat[5][6]

@@ -126,13 +126,15 @@ def inflate_neighbor(flat: FlatResult, rank: int) -> Neighbor:
     deferred to the winners instead of paid for every shard's full k.
     """
     payloads, distances, distances_squared, los, his, _ = flat
-    return Neighbor(
-        payload=payloads[rank],
-        # Bounds a worker read out of validated rects: nothing to re-check.
-        rect=_from_bounds(Rect, los[rank], his[rank]),
-        distance=distances[rank],
-        distance_squared=distances_squared[rank],
-    )
+    # Past the frozen dataclass __init__, as kernels._heap_to_neighbors.
+    nb = object.__new__(Neighbor)
+    fields = nb.__dict__
+    fields["payload"] = payloads[rank]
+    # Bounds a worker read out of validated rects: nothing to re-check.
+    fields["rect"] = _from_bounds(Rect, los[rank], his[rank])
+    fields["distance"] = distances[rank]
+    fields["distance_squared"] = distances_squared[rank]
+    return nb
 
 
 def inflate_result(flat: FlatResult) -> NNResult:

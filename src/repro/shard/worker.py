@@ -35,8 +35,8 @@ coalescer) the whole window in one message — one IPC round trip per
 shard either way.  Replies ship in the columnar :mod:`repro.shard.wire`
 format, primitives only, one :data:`~repro.shard.wire.FlatResult` per
 point.  :func:`serve_window` is the whole op; a window of two or more
-shares one slab traversal (the batch kernel), a window of one runs the
-solo kernel (:func:`repro.packed.batch.run_packed_batch` decides).  A
+shares one slab traversal (the batch kernel), a window of one the solo
+kernel or, warm, its numpy block (``run_packed_batch`` decides).  A
 window is all-or-nothing on the wire: any per-point failure ships one
 ``err`` and the parent raises it out of the call that sent the window.
 

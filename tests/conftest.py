@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from typing import List, Sequence, Tuple
 
@@ -90,3 +92,29 @@ def bulk_tree(medium_points) -> RTree:
     return bulk_load(
         [(p, i) for i, p in enumerate(medium_points)], max_entries=16
     )
+
+
+@pytest.fixture
+def kernel_clock(monkeypatch):
+    """Pin the packed best-first kernel's warm/cold gate for one test.
+
+    ``kernel_clock("warm")`` makes every query look as if the previous
+    one finished an instant ago; ``kernel_clock("cold")`` makes every
+    query arrive a second after the last.  Engines with process shards
+    must be built *after* the call: fork copies the patched clock.
+    """
+    from repro.packed import kernels
+
+    def _set(mode: str) -> None:
+        if mode == "warm":
+            monkeypatch.setattr(kernels, "_clock", lambda: 0.0)
+            monkeypatch.setattr(kernels, "_last_done", 0.0)
+        elif mode == "cold":
+            monkeypatch.setattr(
+                kernels, "_clock", itertools.count(0.0, 1.0).__next__
+            )
+            monkeypatch.setattr(kernels, "_last_done", -math.inf)
+        else:
+            raise ValueError(mode)
+
+    return _set
