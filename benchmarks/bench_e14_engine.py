@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro import QueryConfig, QueryEngine, nearest
+from repro import EngineOptions, QueryConfig, QueryEngine, nearest
 from repro.bench.experiments import get_experiment
 from repro.datasets import gaussian_clusters
 from repro.datasets.queries import query_points_clustered_sessions
@@ -31,7 +31,9 @@ def test_e14_engine_benchmark(benchmark, clustered_tree, session_queries, worker
 
     def run():
         with QueryEngine(
-            clustered_tree, config=config, workers=workers
+            clustered_tree,
+            config=config,
+            options=EngineOptions(workers=workers),
         ) as engine:
             return engine.query_batch(session_queries)
 
@@ -51,7 +53,9 @@ def test_e14_engine_beats_sequential(clustered_tree, session_queries):
     ]
     sequential_s = time.perf_counter() - start
 
-    with QueryEngine(clustered_tree, config=config, workers=4) as engine:
+    with QueryEngine(
+        clustered_tree, config=config, options=EngineOptions(workers=4)
+    ) as engine:
         start = time.perf_counter()
         served = engine.query_batch(session_queries)
         engine_s = time.perf_counter() - start

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.experiments import get_experiment
 from repro.bench.harness import run_query_batch
+from repro.core.config import QueryConfig
 from repro.core.query import nearest
 
 
@@ -11,7 +12,12 @@ from repro.core.query import nearest
 def test_e9_approximate_benchmark(benchmark, uniform_tree, query_batch, epsilon):
     def run():
         return [
-            nearest(uniform_tree, q, k=4, algorithm="best-first", epsilon=epsilon)
+            nearest(
+                uniform_tree,
+                q,
+                k=4,
+                config=QueryConfig(algorithm="best-first", epsilon=epsilon),
+            )
             for q in query_batch
         ]
 
@@ -22,7 +28,7 @@ def test_e9_approximate_benchmark(benchmark, uniform_tree, query_batch, epsilon)
 def test_epsilon_zero_matches_exact(uniform_tree, query_batch):
     for q in query_batch[:5]:
         exact = run_query_batch(uniform_tree, [q], k=4)
-        approx = nearest(uniform_tree, q, k=4, epsilon=0.0)
+        approx = nearest(uniform_tree, q, k=4, config=QueryConfig(epsilon=0.0))
         assert approx.stats.nodes_accessed == pytest.approx(exact.avg_pages)
 
 

@@ -18,7 +18,7 @@ Run with::
     python examples/engine.py
 """
 
-from repro import QueryConfig, QueryEngine, nearest
+from repro import EngineOptions, QueryConfig, QueryEngine, nearest
 from repro.bench.harness import build_tree, points_as_items
 from repro.datasets import gaussian_clusters
 from repro.datasets.queries import query_points_clustered_sessions
@@ -41,7 +41,9 @@ def main() -> None:
     print(f"sequential loop answered {len(baseline)} queries")
 
     # --- 2. the engine: worker pool + result cache ---------------------
-    with QueryEngine(tree, config=config, workers=4) as engine:
+    with QueryEngine(
+        tree, config=config, options=EngineOptions(workers=4)
+    ) as engine:
         served = engine.query_batch(queries)
         assert all(
             got.distances() == want.distances()

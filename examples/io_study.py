@@ -16,11 +16,11 @@ from repro.datasets import skewed_points
 from repro.datasets.queries import query_points_uniform
 
 
-def average_pages(tree, queries, config, **query_kwargs) -> float:
+def average_pages(tree, queries, config) -> float:
     """Average logical page reads per query."""
     total = 0
     for q in queries:
-        result = nearest(tree, q, config=config, **query_kwargs)
+        result = nearest(tree, q, config=config)
         total += result.stats.nodes_accessed
     return total / len(queries)
 

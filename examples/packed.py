@@ -24,7 +24,7 @@ Run with::
 import statistics
 import time
 
-from repro import QueryConfig, QueryEngine, PackedTree
+from repro import EngineOptions, PackedTree, QueryConfig, QueryEngine
 from repro.bench.harness import build_tree, points_as_items
 from repro.core.knn_dfs import nearest_dfs
 from repro.datasets import uniform_points
@@ -81,7 +81,9 @@ def main() -> None:
 
     # --- 4. serving + epoch lifecycle ----------------------------------
     with QueryEngine(
-        tree, config=QueryConfig(k=10), workers=1, packed=True
+        tree,
+        config=QueryConfig(k=10),
+        options=EngineOptions(workers=1, packed=True),
     ) as engine:
         engine.query_batch(queries)
         before = tree.packed()

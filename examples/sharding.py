@@ -20,6 +20,7 @@ Run with::
 
 import glob
 import random
+from dataclasses import replace
 
 from repro import (
     EngineOptions,
@@ -50,7 +51,7 @@ def main() -> None:
 
     # Same answers as the single-tree engine — the merge is exact.
     reference = QueryEngine(
-        bulk_load(items), options=options.merged(packed=True)
+        bulk_load(items), options=replace(options, packed=True)
     )
     agree = all(
         [n.payload for n in sharded.query(q, config=config).neighbors]

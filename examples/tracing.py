@@ -18,7 +18,7 @@ Run with::
     python examples/tracing.py
 """
 
-from repro import Trace, bulk_load, nearest, render_trace
+from repro import EngineOptions, Trace, bulk_load, nearest, render_trace
 from repro.core.config import QueryConfig
 from repro.datasets import gaussian_clusters
 from repro.obs import MetricsRegistry, build_trace_tree, export_prometheus
@@ -65,7 +65,9 @@ def main() -> None:
     # --- 4. slow-query forensics in the engine --------------------------
     print("\n=== slow-query forensics ===")
     with QueryEngine(
-        tree, config=QueryConfig(k=10), workers=1, slow_query_ms=0.0
+        tree,
+        config=QueryConfig(k=10),
+        options=EngineOptions(workers=1, slow_query_ms=0.0),
     ) as engine:
         for q in [(100.0, 900.0), (500.0, 500.0), (900.0, 100.0),
                   (500.0, 500.0)]:          # the repeat is a cache hit

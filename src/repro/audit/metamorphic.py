@@ -27,6 +27,7 @@ from repro.core.config import QueryConfig
 from repro.core.knn_dfs import nearest_dfs
 from repro.core.query import nearest
 from repro.service.engine import QueryEngine
+from repro.service.options import EngineOptions
 
 __all__ = [
     "check_translation_invariance",
@@ -172,7 +173,9 @@ def check_engine_cache_equivalence(
     tree = build_memory_tree(points, max_entries=max_entries, split=split)
     cfg = QueryConfig(k=k)
     problems: List[Discrepancy] = []
-    with QueryEngine(tree, config=cfg, workers=1, cache_size=256) as engine:
+    with QueryEngine(
+        tree, config=cfg, options=EngineOptions(workers=1, cache_size=256)
+    ) as engine:
         first = [engine.query(q) for q in queries]
         second = [engine.query(q) for q in queries]
         hits = engine.stats().cache_hits

@@ -314,6 +314,7 @@ def _engine_command(args: argparse.Namespace) -> tuple:
     from repro.datasets.queries import query_points_clustered_sessions
     from repro.datasets.synthetic import gaussian_clusters, uniform_points
     from repro.service.engine import QueryEngine
+    from repro.service.options import EngineOptions
 
     generator = (
         gaussian_clusters if args.dataset == "clustered" else uniform_points
@@ -333,9 +334,11 @@ def _engine_command(args: argparse.Namespace) -> tuple:
     with QueryEngine(
         tree,
         config=config,
-        workers=args.workers,
-        cache_size=args.cache,
-        buffer_pages=args.buffer_pages,
+        options=EngineOptions(
+            workers=args.workers,
+            cache_size=args.cache,
+            buffer_pages=args.buffer_pages,
+        ),
     ) as engine:
         start = time.perf_counter()
         engine.query_batch(queries)

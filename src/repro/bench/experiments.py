@@ -754,6 +754,7 @@ def _run_e14(scale: Scale) -> List[Table]:
     from repro.core.query import nearest
     from repro.datasets.queries import query_points_clustered_sessions
     from repro.service.engine import QueryEngine
+    from repro.service.options import EngineOptions
 
     n = scale.base_size
     n_queries = 100 * scale.queries
@@ -796,7 +797,7 @@ def _run_e14(scale: Scale) -> List[Table]:
         )
         for workers in (1, 2, 4):
             with QueryEngine(
-                tree, config=config, workers=workers
+                tree, config=config, options=EngineOptions(workers=workers)
             ) as engine:
                 start = time.perf_counter()
                 engine.query_batch(queries)

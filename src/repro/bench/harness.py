@@ -116,8 +116,7 @@ def run_query_batch(
     """
     if not queries:
         raise InvalidParameterError("query batch must be non-empty")
-    # Resolve once up front (not per call through the deprecated keyword
-    # shim): the harness's own knobs map 1:1 onto QueryConfig fields.
+    # The harness's own knobs map 1:1 onto QueryConfig fields.
     cfg = QueryConfig(
         k=k,
         algorithm=algorithm,

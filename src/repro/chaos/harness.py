@@ -56,6 +56,7 @@ from repro.datasets import uniform_points
 from repro.errors import AdmissionRejected, InvalidParameterError
 from repro.geometry.rect import Rect
 from repro.rtree.disk import DiskRTree, build_disk_index
+from repro.service.options import EngineOptions
 from repro.service.resilience import (
     BrownoutController,
     ResilienceStats,
@@ -360,7 +361,8 @@ def run_soak(cfg: ChaosConfig = ChaosConfig()) -> ChaosReport:
             quota_burst=cfg.quota_burst,
             brownout=BrownoutController() if cfg.brownout else None,
             breaker=breaker,
-            cache_size=0,  # every answer must be freshly computed
+            # every answer must be freshly computed
+            options=EngineOptions(cache_size=0),
         )
         with warnings.catch_warnings():
             # Injected corruption legitimately warns; the soak certifies

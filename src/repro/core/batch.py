@@ -5,30 +5,29 @@ pool so the tree's upper levels are read once — packaged as an API instead
 of a loop the caller writes.
 
 Since the serving layer landed, :func:`nearest_batch` is a thin veneer
-over :class:`repro.service.QueryEngine`.  Execution knobs route through
-one shared :class:`~repro.service.options.EngineOptions` bundle — the
-same dataclass every engine constructor takes — whose
-:meth:`~repro.service.options.EngineOptions.batch_defaults` profile
-(``workers=1``, result cache off, 64-page shared buffer) reproduces the
-historical sequential semantics and page accounting exactly.  Pass
-``options=EngineOptions(workers=4, cache_size=4096)`` (or the matching
-legacy keywords) to opt a call site into the engine's concurrency and
-result reuse without changing the return contract.
+over :class:`repro.service.QueryEngine`: ``config=`` says what each query
+means, ``options=`` (an :class:`~repro.service.options.EngineOptions`,
+the same dataclass every engine constructor takes) says how the batch
+executes.  The default,
+:meth:`~repro.service.options.EngineOptions.batch_defaults` (``workers=1``,
+result cache off, 64-page shared buffer), reproduces the historical
+sequential semantics and page accounting exactly; pass
+``options=EngineOptions(workers=4, cache_size=4096)`` to opt a call site
+into the engine's concurrency and result reuse without changing the
+return contract.
 
-With ``packed=True`` (``EngineOptions(packed=True)`` or the legacy
-keyword) and a single worker, best-first windows additionally route
-through the multi-query batch kernel (:mod:`repro.packed.batch`): one
-shared slab traversal answers the whole window, with results and
-statistics still bit-identical to the sequential loop.
+With ``EngineOptions(packed=True)`` and a single worker, best-first
+windows additionally route through the multi-query batch kernel
+(:mod:`repro.packed.batch`): one shared slab traversal answers the whole
+window, with results and statistics still bit-identical to the
+sequential loop.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.core.config import QueryConfig, warn_legacy_query_kwargs
-from repro.core.knn_dfs import ObjectDistance
-from repro.core.pruning import PruningConfig
+from repro.core.config import QueryConfig
 from repro.core.query import NNResult, resolve_config
 from repro.core.stats import SearchStats
 from repro.errors import InvalidParameterError
@@ -44,16 +43,7 @@ def nearest_batch(
     tree: RTree,
     points: Sequence[Sequence[float]],
     k: Optional[int] = None,
-    algorithm: Optional[str] = None,
-    ordering: Optional[str] = None,
-    pruning: Optional[PruningConfig] = None,
-    buffer_pages: Optional[int] = None,
-    object_distance_sq: Optional[ObjectDistance] = None,
-    epsilon: Optional[float] = None,
     config: Optional[QueryConfig] = None,
-    workers: Optional[int] = None,
-    cache_size: Optional[int] = None,
-    packed: Optional[bool] = None,
     options: Optional["EngineOptions"] = None,
 ) -> Tuple[List[NNResult], SearchStats, float]:
     """Run one k-NN query per point through a shared LRU buffer.
@@ -61,21 +51,15 @@ def nearest_batch(
     Args:
         tree: The index.
         points: Query points, answered in order.
-        config: A :class:`~repro.core.config.QueryConfig` describing how
-            each query runs; explicit keyword arguments override its
-            fields.
+        k: Neighbors per point; overrides ``config.k``.
+        config: A :class:`~repro.core.config.QueryConfig` describing what
+            each query means.
         options: An :class:`~repro.service.options.EngineOptions`
             describing how the batch *executes* (workers, cache,
             buffering, packed routing).  Defaults to
             :meth:`~repro.service.options.EngineOptions.batch_defaults`
             — sequential, uncached, 64-page shared buffer: one search
-            per point, the legacy accounting.
-        workers / cache_size / buffer_pages / packed: Legacy spellings of
-            the matching *options* fields; override them when passed.
-        algorithm / ordering / pruning / object_distance_sq / epsilon:
-            **Deprecated** legacy spellings of the matching
-            :class:`QueryConfig` fields; each use warns (docs/API.md,
-            'Migrating to QueryConfig').
+            per point, the historical accounting.
 
     Returns:
         ``(results, combined_stats, disk_reads_per_query)`` — one
@@ -87,31 +71,8 @@ def nearest_batch(
 
     if not points:
         raise InvalidParameterError("points must be non-empty")
-    warn_legacy_query_kwargs(
-        "nearest_batch()",
-        algorithm=algorithm,
-        ordering=ordering,
-        pruning=pruning,
-        object_distance_sq=object_distance_sq,
-        epsilon=epsilon,
-    )
-    cfg = resolve_config(
-        config,
-        k=k,
-        algorithm=algorithm,
-        ordering=ordering,
-        pruning=pruning,
-        object_distance_sq=object_distance_sq,
-        epsilon=epsilon,
-    )
-    opts = (
-        options if options is not None else EngineOptions.batch_defaults()
-    ).merged(
-        workers=workers,
-        cache_size=cache_size,
-        buffer_pages=buffer_pages,
-        packed=packed,
-    )
+    cfg = resolve_config(config, k)
+    opts = options if options is not None else EngineOptions.batch_defaults()
     with QueryEngine(tree, config=cfg, options=opts) as engine:
         results = engine.query_batch(points)
         physical_reads = engine.tracker.physical_reads()

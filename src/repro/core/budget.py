@@ -75,7 +75,9 @@ class Budget:
                 f"deadline_ms must be > 0, got {self.deadline_ms}"
             )
         if self.max_pages is not None and (
-            not isinstance(self.max_pages, int) or self.max_pages < 1
+            not isinstance(self.max_pages, int)
+            or isinstance(self.max_pages, bool)
+            or self.max_pages < 1
         ):
             raise InvalidParameterError(
                 f"max_pages must be an int >= 1, got {self.max_pages!r}"

@@ -63,17 +63,31 @@ _VALID_ORDERINGS = ("mindist", "minmaxdist")
 _PRUNE_SLACK = 1.0 + 1e-12
 
 
+def _check_k(k: int) -> None:
+    """The one ``k`` rule for ``QueryConfig`` and the packed doors.
+
+    ``bool`` is an ``int`` subclass, so ``k=True`` would run as ``k=1``.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+
+
 def _check_epsilon(epsilon: float) -> None:
-    """Reject a negative or non-finite approximation slack.
+    """Reject a non-number, negative or non-finite approximation slack.
 
     The one epsilon rule for every door (``QueryConfig``, the object and
-    packed entry points).  NaN fails every bound comparison and ``inf``
-    shrinks the k-th-candidate bound to ``inf * 0``, so best-first would
-    stop after one page with no neighbors and no error.
+    packed entry points).  A ``bool`` is not a slack.  NaN fails every
+    bound comparison and ``inf`` shrinks the k-th-candidate bound to
+    ``inf * 0``, so best-first would stop after one page with no
+    neighbors and no error.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if (
+        not isinstance(epsilon, (int, float))
+        or isinstance(epsilon, bool)
+        or not (math.isfinite(epsilon) and epsilon >= 0.0)
+    ):
         raise InvalidParameterError(
-            f"epsilon must be finite and >= 0, got {epsilon}"
+            f"epsilon must be a finite number >= 0, got {epsilon!r}"
         )
 
 

@@ -13,12 +13,8 @@ Most callers only need :func:`nearest`::
 Configuration is a single :class:`~repro.core.config.QueryConfig` passed
 as ``config=``, shared verbatim by :func:`nearest`,
 :class:`NearestNeighborQuery`, :func:`repro.core.batch.nearest_batch`
-and :class:`repro.service.QueryEngine`.  The legacy keyword arguments
-(``algorithm=``, ``ordering=``, ...) still work — explicit keywords
-override the corresponding config field — but are **deprecated**: each
-use emits a :class:`DeprecationWarning` pointing at the one migration
-path, docs/API.md § *Migrating to QueryConfig*.  ``k=`` stays
-first-class (it is per-call intent, not configuration sprawl).
+and every engine.  ``k=`` is the one per-call override (it is per-call
+intent, not configuration); :func:`resolve_config` applies it.
 :class:`NearestNeighborQuery` packages a fixed configuration for
 repeated use — the shape of the bench harness's inner loop.
 """
@@ -38,12 +34,10 @@ from typing import (
     Union,
 )
 
-from repro.core.budget import Budget
-from repro.core.config import QueryConfig, warn_legacy_query_kwargs
+from repro.core.config import QueryConfig
 from repro.core.knn_best_first import nearest_best_first
-from repro.core.knn_dfs import ObjectDistance, nearest_dfs
+from repro.core.knn_dfs import nearest_dfs
 from repro.core.neighbors import Neighbor
-from repro.core.pruning import PruningConfig
 from repro.core.stats import SearchStats
 from repro.rtree.tree import RTree
 from repro.storage.tracker import AccessTracker
@@ -55,31 +49,15 @@ __all__ = ["NNResult", "NearestNeighborQuery", "nearest", "resolve_config"]
 
 
 def resolve_config(
-    config: Optional[QueryConfig],
-    k: Optional[int] = None,
-    algorithm: Optional[str] = None,
-    ordering: Optional[str] = None,
-    pruning: Optional[PruningConfig] = None,
-    object_distance_sq: Optional[ObjectDistance] = None,
-    epsilon: Optional[float] = None,
-    budget: Optional[Budget] = None,
+    config: Optional[QueryConfig], k: Optional[int]
 ) -> QueryConfig:
-    """Merge a base config with legacy keyword overrides.
+    """*config* (``None``: ``QueryConfig()``) with the per-call *k* applied.
 
-    ``None`` means "not passed"; explicit values override the config
-    field.  With no config and no overrides this is ``QueryConfig()``.
-    The result is fully validated (eagerly) by ``QueryConfig`` itself.
+    The one home of "a per-call ``k=`` overrides the config": every
+    engine, the HTTP door and the capture recorder resolve through here.
     """
     base = config if config is not None else QueryConfig()
-    return base.with_overrides(
-        k=k,
-        algorithm=algorithm,
-        ordering=ordering,
-        pruning=pruning,
-        object_distance_sq=object_distance_sq,
-        epsilon=epsilon,
-        budget=budget,
-    )
+    return base if k is None else base.replace(k=k)
 
 
 @dataclass
@@ -161,60 +139,30 @@ def nearest(
     tree: RTree,
     point: Sequence[float],
     k: Optional[int] = None,
-    algorithm: Optional[str] = None,
-    ordering: Optional[str] = None,
-    pruning: Optional[PruningConfig] = None,
     tracker: Optional[AccessTracker] = None,
-    object_distance_sq: Optional[ObjectDistance] = None,
-    epsilon: Optional[float] = None,
     config: Optional[QueryConfig] = None,
     trace: Optional["Trace"] = None,
-    budget: Optional[Budget] = None,
 ) -> NNResult:
     """Find the *k* objects in *tree* nearest to *point*.
 
     Args:
         tree: The R-tree to search.
         point: Query point.
-        k: How many neighbors to return (default 1).
-        config: A :class:`QueryConfig` describing how the query runs
-            (algorithm, ordering, pruning, epsilon, object distance,
-            budget) — the one configuration surface.
+        k: How many neighbors to return; overrides ``config.k``.
+        config: A :class:`QueryConfig` describing the query (k, algorithm,
+            ordering, pruning, epsilon, object distance, budget) — the
+            one configuration surface.
         tracker: Page-access tracker / buffer pool (instrumentation; not
             part of the query configuration).
         trace: Optional :class:`repro.obs.Trace` recording the search's
             full event stream (instrumentation, like *tracker*; not part
             of the query configuration).
-        algorithm / ordering / pruning / object_distance_sq / epsilon /
-            budget: **Deprecated** legacy spellings of the matching
-            :class:`QueryConfig` fields; each use warns.  They still
-            override the config field when passed (docs/API.md,
-            'Migrating to QueryConfig').
 
     Returns:
         An :class:`NNResult` with the neighbors (nearest first) and the
         search statistics.
     """
-    warn_legacy_query_kwargs(
-        "nearest()",
-        algorithm=algorithm,
-        ordering=ordering,
-        pruning=pruning,
-        object_distance_sq=object_distance_sq,
-        epsilon=epsilon,
-        budget=budget,
-    )
-    cfg = resolve_config(
-        config,
-        k=k,
-        algorithm=algorithm,
-        ordering=ordering,
-        pruning=pruning,
-        object_distance_sq=object_distance_sq,
-        epsilon=epsilon,
-        budget=budget,
-    )
-    return _run_query(tree, point, cfg, tracker, trace)
+    return _run_query(tree, point, resolve_config(config, k), tracker, trace)
 
 
 def _run_query(
@@ -276,10 +224,6 @@ class NearestNeighborQuery:
         for p in query_points:
             result = query(p)
 
-    The legacy keyword spellings (``ordering="minmaxdist"`` etc.) still
-    work but are deprecated; each use emits a :class:`DeprecationWarning`
-    (docs/API.md, 'Migrating to QueryConfig').
-
     All configuration is validated eagerly at construction — a typo'd
     ordering raises :class:`~repro.errors.InvalidParameterError` here,
     not at the first call.
@@ -289,58 +233,12 @@ class NearestNeighborQuery:
         self,
         tree: RTree,
         k: Optional[int] = None,
-        algorithm: Optional[str] = None,
-        ordering: Optional[str] = None,
-        pruning: Optional[PruningConfig] = None,
         tracker: Optional[AccessTracker] = None,
-        object_distance_sq: Optional[ObjectDistance] = None,
-        epsilon: Optional[float] = None,
         config: Optional[QueryConfig] = None,
     ) -> None:
-        warn_legacy_query_kwargs(
-            "NearestNeighborQuery",
-            algorithm=algorithm,
-            ordering=ordering,
-            pruning=pruning,
-            object_distance_sq=object_distance_sq,
-            epsilon=epsilon,
-        )
         self.tree = tree
         self.tracker = tracker
-        self.config = resolve_config(
-            config,
-            k=k,
-            algorithm=algorithm,
-            ordering=ordering,
-            pruning=pruning,
-            object_distance_sq=object_distance_sq,
-            epsilon=epsilon,
-        )
-
-    # Legacy attribute access keeps working; the config is the truth.
-    @property
-    def k(self) -> int:
-        return self.config.k
-
-    @property
-    def algorithm(self) -> str:
-        return self.config.algorithm
-
-    @property
-    def ordering(self) -> str:
-        return self.config.ordering
-
-    @property
-    def pruning(self) -> Optional[PruningConfig]:
-        return self.config.pruning
-
-    @property
-    def object_distance_sq(self) -> Optional[ObjectDistance]:
-        return self.config.object_distance_sq
-
-    @property
-    def epsilon(self) -> float:
-        return self.config.epsilon
+        self.config = resolve_config(config, k)
 
     def __call__(
         self,
@@ -349,11 +247,12 @@ class NearestNeighborQuery:
         trace: Optional["Trace"] = None,
     ) -> NNResult:
         """Run the query from *point*; *k* overrides the configured value."""
-        cfg = self.config if k is None else self.config.replace(k=k)
+        cfg = resolve_config(self.config, k)
         return _run_query(self.tree, point, cfg, self.tracker, trace)
 
     def __repr__(self) -> str:
+        cfg = self.config
         return (
-            f"NearestNeighborQuery(k={self.k}, algorithm={self.algorithm!r}, "
-            f"ordering={self.ordering!r})"
+            f"NearestNeighborQuery(k={cfg.k}, algorithm={cfg.algorithm!r}, "
+            f"ordering={cfg.ordering!r})"
         )

@@ -264,9 +264,7 @@ def _resolve_recorded_config(engine: Any, kwargs: Dict[str, Any]) -> QueryConfig
     cfg = kwargs.get("config")
     if cfg is None:
         cfg = getattr(engine, "config", None)
-    if cfg is None:
-        cfg = QueryConfig()
-    return resolve_config(cfg, k=kwargs.get("k"))
+    return resolve_config(cfg, kwargs.get("k"))
 
 
 # ----------------------------------------------------------------------

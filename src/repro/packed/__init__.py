@@ -20,9 +20,8 @@ Entry points:
   multi-query batch kernel (:mod:`repro.packed.batch`): one traversal
   answers a whole same-config window, with the per-node MINDIST pass
   numpy-vectorized when the ``repro[fast]`` extra is installed.
-- :class:`repro.service.QueryEngine` with ``packed=True`` and
-  :func:`repro.core.nearest_batch` with ``packed=True`` — the serving
-  integrations.
+- :class:`repro.service.QueryEngine` and :func:`repro.core.nearest_batch`
+  with ``options=EngineOptions(packed=True)`` — the serving integrations.
 """
 
 from repro.packed.batch import (

@@ -675,7 +675,6 @@ def run_packed_batch(
     points: Sequence[Sequence[float]],
     cfg: QueryConfig,
     tracker: Optional[AccessTracker] = None,
-    vectorize: Optional[bool] = None,
 ) -> List[NNResult]:
     """Dispatch one same-config window to the packed kernels.
 
@@ -701,7 +700,6 @@ def run_packed_batch(
             k=cfg.k,
             tracker=tracker,
             epsilon=cfg.epsilon,
-            vectorize=vectorize,
         )
         return [
             NNResult(neighbors=neighbors, stats=stats)

@@ -86,8 +86,7 @@ _last_done = -math.inf
 
 def _check_k_epsilon(k: int, epsilon: float) -> None:
     """The ``k``/``epsilon`` rule of every packed door (``QueryConfig``'s)."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+    _knn_dfs._check_k(k)
     _knn_dfs._check_epsilon(epsilon)
 
 

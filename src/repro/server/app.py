@@ -527,10 +527,7 @@ class NNServer:
         base = getattr(self.engine, "config", None)
         if not isinstance(base, QueryConfig):
             base = QueryConfig()
-        k = payload.get("k")
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-            raise HTTPError(400, "k must be an integer")
-        cfg = resolve_config(base, k=k)
+        cfg = resolve_config(base, payload.get("k"))
         epsilon = _number(payload, "epsilon", float)
         if epsilon is not None:
             cfg = cfg.replace(epsilon=epsilon)
@@ -738,14 +735,24 @@ def _parse_json(body: bytes) -> Dict[str, Any]:
 
 
 def _number(payload: Dict[str, Any], field: str, kind: type) -> Any:
-    """``kind(payload[field])``; None when absent; a 400 naming *field*."""
+    """``kind(payload[field])``; None when absent; a 400 naming *field*.
+
+    Only a JSON number is accepted — not ``true``, not ``"0.5"`` — and
+    for ``kind=int`` only an integer literal (``2.7`` is not truncated).
+    """
     value = payload.get(field)
     if value is None:
         return None
+    if kind is int:
+        accepted, noun = int, "an integer"
+    else:
+        accepted, noun = (int, float), "a number"
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise HTTPError(400, f"{field} must be {noun}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise HTTPError(400, f"{field} must be a number") from None
+    except OverflowError:  # an integer literal beyond float range
+        raise HTTPError(400, f"{field} must be {noun}") from None
 
 
 def _json(payload: Dict[str, Any]) -> bytes:

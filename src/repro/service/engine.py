@@ -20,9 +20,10 @@ call into a serving layer:
 
 Example::
 
-    from repro import QueryConfig, QueryEngine
+    from repro import EngineOptions, QueryConfig, QueryEngine
 
-    with QueryEngine(tree, config=QueryConfig(k=4), workers=4) as engine:
+    with QueryEngine(tree, config=QueryConfig(k=4),
+                     options=EngineOptions(workers=4)) as engine:
         results = engine.query_batch(points)
         print(engine.stats().render())
 
@@ -71,41 +72,32 @@ class QueryEngine:
         tree: The index to serve — an in-memory
             :class:`~repro.rtree.tree.RTree` or a read-only
             :class:`~repro.rtree.disk.DiskRTree`.
-        config: Default :class:`QueryConfig` for every query; per-call
-            ``k=`` / ``config=`` override it.
-        workers: Worker threads for :meth:`query_batch`.  ``1`` executes
-            in the calling thread (no pool), preserving strictly
-            sequential semantics.
-        cache_size: Result-cache capacity; ``0`` disables caching *and*
-            duplicate coalescing (every query executes).
-        buffer_pages: Per-worker LRU page-buffer capacity; ``0`` means
-            plain counting (every logical access is a physical read).
-            Workers never share a pool, so page accounting needs no locks
-            and is never double-counted
-            (:class:`~repro.storage.tracker.ShardedTracker`).
-        packed: Serve queries through the tree's
-            :class:`~repro.packed.PackedTree` compile (see
-            :mod:`repro.packed`) instead of the object-graph kernels.
-            Results, stats and page accounting are identical; latency is
-            typically ~3x lower.  The compile is epoch-keyed: the first
-            query after a mutation rebuilds it (under the read lock),
-            subsequent queries share it.  Queries whose config carries an
-            ``object_distance_sq`` hook fall back to the object kernels
-            automatically — exact object distance needs payloads on the
-            hot path.
-        slow_query_ms: Slow-query threshold in milliseconds.  When set,
-            every *executed* query is traced (tail sampling) and queries
-            at or above the threshold are preserved — full trace included
-            — in :attr:`slow_queries`, a bounded
-            :class:`~repro.obs.SlowQueryLog` ring buffer.  ``None`` (the
-            default) disables forensics entirely; cache hits execute no
-            search and are never logged.
-        slow_log: Ring-buffer capacity of :attr:`slow_queries` (only
-            meaningful with *slow_query_ms*).
-        options: An :class:`~repro.service.options.EngineOptions` bundle
-            carrying all of the above execution knobs at once.  Explicit
-            keyword arguments override matching option fields, so the
-            legacy spellings keep working unchanged.
+        config: Default :class:`QueryConfig` for every query — what a
+            query means; per-call ``k=`` / ``config=`` override it.
+        options: An :class:`~repro.service.options.EngineOptions` — how
+            the engine runs (default ``EngineOptions()``):
+
+            - ``workers``: threads for :meth:`query_batch`; ``1``
+              executes in the calling thread (no pool), preserving
+              strictly sequential semantics.
+            - ``cache_size``: result-cache capacity; ``0`` disables
+              caching *and* duplicate coalescing.
+            - ``buffer_pages``: per-worker LRU page-buffer capacity;
+              ``0`` means plain counting.  Workers never share a pool,
+              so page accounting needs no locks and is never
+              double-counted (:class:`~repro.storage.tracker.ShardedTracker`).
+            - ``packed``: serve through the tree's
+              :class:`~repro.packed.PackedTree` compile — identical
+              results, stats and page accounting, typically ~3x lower
+              latency.  The compile is epoch-keyed (the first query
+              after a mutation rebuilds it under the read lock); configs
+              with an ``object_distance_sq`` hook fall back to the object
+              kernels, which need payloads on the hot path.
+            - ``slow_query_ms`` / ``slow_log``: when the threshold is
+              set, every *executed* query is traced (tail sampling) and
+              those at or above it are kept, trace included, in the
+              :attr:`slow_queries` ring buffer of ``slow_log`` entries.
+              Cache hits execute no search and are never logged.
 
     The engine itself never copies the tree: it relies on the tree's
     mutation epoch (see :meth:`~repro.rtree.tree.RTree.snapshot`) for
@@ -116,22 +108,9 @@ class QueryEngine:
         self,
         tree: Any,
         config: Optional[QueryConfig] = None,
-        workers: Optional[int] = None,
-        cache_size: Optional[int] = None,
-        buffer_pages: Optional[int] = None,
-        packed: Optional[bool] = None,
-        slow_query_ms: Optional[float] = None,
-        slow_log: Optional[int] = None,
         options: Optional[EngineOptions] = None,
     ) -> None:
-        opts = (options if options is not None else EngineOptions()).merged(
-            workers=workers,
-            cache_size=cache_size,
-            buffer_pages=buffer_pages,
-            packed=packed,
-            slow_query_ms=slow_query_ms,
-            slow_log=slow_log,
-        )
+        opts = options if options is not None else EngineOptions()
         if opts.packed and not hasattr(tree, "packed"):
             raise InvalidParameterError(
                 f"packed=True needs a tree with a .packed() compile; "
@@ -469,8 +448,7 @@ class QueryEngine:
     def _effective_config(
         self, k: Optional[int], config: Optional[QueryConfig]
     ) -> QueryConfig:
-        base = config if config is not None else self.config
-        return resolve_config(base, k=k)
+        return resolve_config(config if config is not None else self.config, k)
 
     def _ensure_open(self) -> None:
         if self._closed:

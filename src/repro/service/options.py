@@ -1,30 +1,28 @@
 """``EngineOptions``: the one engine-construction surface.
 
-``QueryEngine`` grew constructor knobs (workers, cache size, buffer
-pages, packed routing, forensics), and then :func:`repro.core.batch.
-nearest_batch` grew a *second*, drifting copy of the same knobs as loose
-keyword arguments.  ``EngineOptions`` is the single dataclass both — and
-``ResilientEngine`` and ``ShardedQueryEngine`` — construct from, so a
-new knob is added once, validated once, and defaulted once.
+``EngineOptions`` says how an engine *runs* — worker pool, result cache,
+page buffer, packed routing, slow-query forensics.
+:func:`repro.core.batch.nearest_batch`, ``QueryEngine``,
+``ResilientEngine`` and ``ShardedQueryEngine`` all take it as
+``options=`` and nothing else, so a knob is added once, validated once,
+and defaulted once.  An engine that forces a field (the sharded engine is
+always packed; ``ResilientEngine``'s inner engine has one worker) applies
+:func:`dataclasses.replace` to what it was given.
 
 Two default profiles exist because two call shapes exist:
 
 - :meth:`EngineOptions` (the bare constructor) is the *serving* profile:
   ``workers=4``, result cache on (:data:`DEFAULT_CACHE_SIZE`), no page
   buffer — what ``QueryEngine()`` has always defaulted to.
-- :meth:`EngineOptions.batch_defaults` is the *legacy batch* profile:
+- :meth:`EngineOptions.batch_defaults` is the *batch* profile:
   ``workers=1``, cache off, ``buffer_pages=64`` — the historical
   sequential ``nearest_batch`` semantics, preserved exactly.
-
-``merged(**overrides)`` applies explicit per-call keyword arguments on
-top (``None`` = not passed), which is how the legacy keyword spellings
-of both constructors keep working unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import InvalidParameterError
 
@@ -64,26 +62,18 @@ class EngineOptions:
     slow_log: int = 64
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or self.workers < 1:
+        _check_count("workers", self.workers, 1)
+        _check_count("cache_size", self.cache_size, 0)
+        _check_count("buffer_pages", self.buffer_pages, 0)
+        if not isinstance(self.packed, bool):
             raise InvalidParameterError(
-                f"workers must be an int >= 1, got {self.workers!r}"
-            )
-        if self.cache_size < 0:
-            raise InvalidParameterError(
-                f"cache_size must be >= 0, got {self.cache_size}"
-            )
-        if self.buffer_pages < 0:
-            raise InvalidParameterError(
-                f"buffer_pages must be >= 0, got {self.buffer_pages}"
+                f"packed must be a bool, got {self.packed!r}"
             )
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise InvalidParameterError(
                 f"slow_query_ms must be >= 0, got {self.slow_query_ms}"
             )
-        if self.slow_log < 1:
-            raise InvalidParameterError(
-                f"slow_log must be >= 1, got {self.slow_log}"
-            )
+        _check_count("slow_log", self.slow_log, 1)
 
     @classmethod
     def batch_defaults(cls) -> "EngineOptions":
@@ -94,18 +84,10 @@ class EngineOptions:
         """
         return cls(workers=1, cache_size=0, buffer_pages=64)
 
-    def merged(self, **overrides: Any) -> "EngineOptions":
-        """A copy with every non-``None`` override applied (revalidated).
 
-        ``None`` means "not passed, keep this options object's value" —
-        the same convention :meth:`QueryConfig.with_overrides` uses, and
-        what lets legacy keyword arguments coexist with ``options=``.
-        """
-        changes = {
-            name: value
-            for name, value in overrides.items()
-            if value is not None
-        }
-        if not changes:
-            return self
-        return replace(self, **changes)
+def _check_count(name: str, value: object, floor: int) -> None:
+    """*value* must be an ``int`` (not a ``bool``) and ``>= floor``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise InvalidParameterError(
+            f"{name} must be an int >= {floor}, got {value!r}"
+        )

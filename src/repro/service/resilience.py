@@ -434,10 +434,8 @@ class ResilientEngine:
             instance into the :class:`~repro.rtree.disk.DiskRTree`).
         options: :class:`~repro.service.options.EngineOptions` for the
             inner engine built from *tree* (its ``workers`` field is
-            forced to 1 — see below).  Only valid with *tree*.
-        cache_size / packed / buffer_pages / slow_query_ms / slow_log:
-            Legacy spellings of the same inner-engine options; override
-            matching *options* fields.  Only valid with *tree*.
+            forced to 1 — see below).  Only valid with *tree*: an
+            *engine* carries its own.
         clock: Injectable monotonic clock (tests).
 
     A *tree*-built inner engine runs with ``workers=1`` — meaning *no*
@@ -462,11 +460,6 @@ class ResilientEngine:
         quota_burst: Optional[float] = None,
         brownout: Optional[BrownoutController] = None,
         breaker: Optional[CircuitBreaker] = None,
-        cache_size: Optional[int] = None,
-        buffer_pages: Optional[int] = None,
-        packed: Optional[bool] = None,
-        slow_query_ms: Optional[float] = None,
-        slow_log: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
         engine: Optional[Engine] = None,
         options: Optional[EngineOptions] = None,
@@ -495,27 +488,13 @@ class ResilientEngine:
                 "pass exactly one of tree= or engine="
             )
         if engine is not None:
-            engine_knobs = (
-                options, cache_size, buffer_pages, packed,
-                slow_query_ms, slow_log,
-            )
-            if any(knob is not None for knob in engine_knobs):
+            if options is not None:
                 raise InvalidParameterError(
-                    "engine= carries its own execution options; drop "
-                    "options=/cache_size=/buffer_pages=/packed=/"
-                    "slow_query_ms=/slow_log="
+                    "engine= carries its own execution options; drop options="
                 )
             self.engine: Engine = engine
         else:
-            inner = (
-                options if options is not None else EngineOptions()
-            ).merged(
-                cache_size=cache_size,
-                buffer_pages=buffer_pages,
-                packed=packed,
-                slow_query_ms=slow_query_ms,
-                slow_log=slow_log,
-            ).merged(workers=1)
+            inner = replace(options or EngineOptions(), workers=1)
             self.engine = QueryEngine(tree, config=config, options=inner)
         self._default_config = config
         self.workers = workers
@@ -703,7 +682,7 @@ class ResilientEngine:
             base = self._default_config
         if base is None:
             base = getattr(self.engine, "config", None)
-        return resolve_config(base if base is not None else QueryConfig(), k=k)
+        return resolve_config(base, k)
 
     # ------------------------------------------------------------------
     # Admission internals (callers hold self._lock)

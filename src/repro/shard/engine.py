@@ -50,7 +50,7 @@ import secrets
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._gcpause import _gc_paused
@@ -502,7 +502,7 @@ class ShardedQueryEngine:
         if shards < 1:
             raise InvalidParameterError(f"shards must be >= 1, got {shards}")
         self.config = config if config is not None else QueryConfig()
-        self.options = (options or EngineOptions()).merged(packed=True)
+        self.options = replace(options or EngineOptions(), packed=True)
         self.partitioner = partitioner
         self.processes = processes
         self._max_entries = max_entries or getattr(tree, "max_entries", None) or 8
@@ -1002,8 +1002,7 @@ class ShardedQueryEngine:
     def _effective_config(
         self, k: Optional[int], config: Optional[QueryConfig]
     ) -> QueryConfig:
-        base = config if config is not None else self.config
-        cfg = resolve_config(base, k=k)
+        cfg = resolve_config(config if config is not None else self.config, k)
         if cfg.object_distance_sq is not None:
             raise InvalidParameterError(
                 "ShardedQueryEngine serves packed kernels only; "

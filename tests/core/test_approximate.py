@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro import RTree, linear_scan, nearest
+from repro import QueryConfig, RTree, linear_scan, nearest
 from repro.core.knn_best_first import nearest_best_first
 from repro.core.knn_dfs import nearest_dfs
 from repro.errors import InvalidParameterError
@@ -26,7 +26,12 @@ class TestValidation:
         q = (313.0, 727.0)
         exact = linear_scan(medium_tree, q, k=4)
         for algorithm in ("dfs", "best-first"):
-            got = nearest(medium_tree, q, k=4, algorithm=algorithm, epsilon=0.0)
+            got = nearest(
+                medium_tree,
+                q,
+                k=4,
+                config=QueryConfig(algorithm=algorithm, epsilon=0.0),
+            )
             assert got.distances() == pytest.approx(
                 [n.distance for n in exact]
             )
@@ -40,7 +45,10 @@ class TestGuarantee:
             for k in (1, 5):
                 exact = linear_scan(medium_tree, q, k=k)
                 approx = nearest(
-                    medium_tree, q, k=k, algorithm=algorithm, epsilon=epsilon
+                    medium_tree,
+                    q,
+                    k=k,
+                    config=QueryConfig(algorithm=algorithm, epsilon=epsilon),
                 )
                 assert len(approx) == len(exact)
                 for got, want in zip(approx, exact):
@@ -48,8 +56,8 @@ class TestGuarantee:
 
     def test_large_epsilon_reads_fewer_pages(self, medium_tree):
         q = (500.0, 500.0)
-        exact = nearest(medium_tree, q, k=8, epsilon=0.0)
-        approx = nearest(medium_tree, q, k=8, epsilon=5.0)
+        exact = nearest(medium_tree, q, k=8, config=QueryConfig(epsilon=0.0))
+        approx = nearest(medium_tree, q, k=8, config=QueryConfig(epsilon=5.0))
         assert approx.stats.nodes_accessed <= exact.stats.nodes_accessed
 
     def test_pages_monotone_in_epsilon_best_first(self, medium_tree):
@@ -59,7 +67,10 @@ class TestGuarantee:
         pages = []
         for epsilon in (0.0, 0.25, 1.0, 4.0):
             result = nearest(
-                medium_tree, q, k=4, algorithm="best-first", epsilon=epsilon
+                medium_tree,
+                q,
+                k=4,
+                config=QueryConfig(algorithm="best-first", epsilon=epsilon),
             )
             pages.append(result.stats.nodes_accessed)
         assert pages == sorted(pages, reverse=True)
@@ -78,7 +89,12 @@ def test_property_approximation_guarantee(points, query, k, epsilon, algorithm):
     for i, p in enumerate(points):
         tree.insert(p, payload=i)
     exact = linear_scan(tree, query, k=k)
-    approx = nearest(tree, query, k=k, algorithm=algorithm, epsilon=epsilon)
+    approx = nearest(
+        tree,
+        query,
+        k=k,
+        config=QueryConfig(algorithm=algorithm, epsilon=epsilon),
+    )
     assert len(approx) == len(exact)
     slack = 1e-6
     for got, want in zip(approx, exact):

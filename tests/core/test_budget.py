@@ -196,8 +196,12 @@ class TestBudgetAcrossAuditGrid:
                 exact = exact_neighbors(items, q, 10)
                 for pages in (2, 8, 32):
                     r = nearest(
-                        tree, q, k=10, algorithm=algorithm,
-                        budget=Budget(max_pages=pages),
+                        tree,
+                        q,
+                        k=10,
+                        config=QueryConfig(
+                            algorithm=algorithm, budget=Budget(max_pages=pages)
+                        ),
                     )
                     problems = check_truncated_result(
                         r.neighbors, q, 10, exact,
@@ -214,7 +218,7 @@ class TestBudgetAcrossAuditGrid:
         q = (0.4, 0.6)
         free = nearest(tree, q, k=5)
         capped = nearest(
-            tree, q, k=5, budget=Budget(max_pages=10_000)
+            tree, q, k=5, config=QueryConfig(budget=Budget(max_pages=10_000))
         )
         assert not capped.truncated
         assert capped.distances() == free.distances()
@@ -225,7 +229,7 @@ class TestBudgetAcrossAuditGrid:
         points, tree, items = workload
         r = nearest(
             tree, (0.2, 0.2), k=5,
-            budget=Budget(deadline_ms=1e-6),
+            config=QueryConfig(budget=Budget(deadline_ms=1e-6)),
         )
         assert r.truncated
         assert r.truncation_reason == "deadline"
@@ -314,7 +318,9 @@ class TestRaiseMode:
         with pytest.raises(DeadlineExceeded) as err:
             nearest(
                 tree, (0.5, 0.5), k=5,
-                budget=Budget(max_pages=1, on_exhausted="raise"),
+                config=QueryConfig(
+                    budget=Budget(max_pages=1, on_exhausted="raise")
+                ),
             )
         assert err.value.reason == "pages"
         assert err.value.frontier_sq < math.inf

@@ -1,4 +1,4 @@
-"""QueryConfig: eager validation, immutability, overrides, cache keys."""
+"""QueryConfig: eager validation, immutability, cache keys."""
 
 import pytest
 
@@ -14,7 +14,7 @@ class TestEagerValidation:
         assert config.algorithm == "dfs"
         assert config.ordering == "mindist"
 
-    @pytest.mark.parametrize("k", [0, -1, 1.5, "3"])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, "3", True])
     def test_bad_k_rejected(self, k):
         with pytest.raises(InvalidParameterError):
             QueryConfig(k=k)
@@ -68,20 +68,6 @@ class TestImmutability:
         assert QueryConfig(k=3) == QueryConfig(k=3)
         assert hash(QueryConfig(k=3)) == hash(QueryConfig(k=3))
         assert QueryConfig(k=3) != QueryConfig(k=4)
-
-
-class TestOverrides:
-    def test_with_overrides_none_means_keep(self):
-        config = QueryConfig(k=5, ordering="minmaxdist")
-        same = config.with_overrides(k=None, ordering=None)
-        assert same is config
-
-    def test_with_overrides_applies_values(self):
-        config = QueryConfig(k=5)
-        out = config.with_overrides(k=2, algorithm="best-first")
-        assert out.k == 2
-        assert out.algorithm == "best-first"
-        assert config.k == 5  # original untouched
 
 
 class TestCacheKey:

@@ -1,13 +1,12 @@
-"""The legacy-kwargs deprecation shim: warn once, change nothing.
+"""The one configuration surface is warning-free.
 
-``config=QueryConfig(...)`` is the query surface; the scattered
-``algorithm=``/``ordering=``/... keywords are deprecated spellings that
-must (a) emit a ``DeprecationWarning`` pointing at the migration guide,
-(b) keep returning exactly the same answers, and (c) never fire for
-callers already on ``config=``.  ``k=`` stays first-class and silent.
+``config=QueryConfig(...)`` says what a query means and
+``options=EngineOptions(...)`` how a batch runs; ``k=`` is the one
+per-call override.  None of them may emit a ``DeprecationWarning`` (the
+suite turns one into an error), and the batch profile keeps the
+historical sequential accounting.
 """
 
-import os
 import warnings
 
 import pytest
@@ -27,28 +26,6 @@ def tree(small_points):
 QUERY = (0.5, 0.5)
 
 
-class TestWarns:
-    def test_nearest_legacy_kwarg_warns(self, tree):
-        with pytest.warns(DeprecationWarning, match="algorithm="):
-            nearest(tree, QUERY, k=2, algorithm="best-first")
-
-    def test_warning_names_every_legacy_kwarg_and_the_guide(self, tree):
-        with pytest.warns(DeprecationWarning) as caught:
-            nearest(tree, QUERY, k=2, ordering="minmaxdist", epsilon=0.1)
-        message = str(caught[0].message)
-        assert "ordering=" in message and "epsilon=" in message
-        assert "QueryConfig" in message
-        assert "docs/API.md" in message
-
-    def test_query_object_legacy_kwarg_warns(self, tree):
-        with pytest.warns(DeprecationWarning, match="NearestNeighborQuery"):
-            NearestNeighborQuery(tree, algorithm="best-first")
-
-    def test_nearest_batch_legacy_kwarg_warns(self, tree):
-        with pytest.warns(DeprecationWarning, match="nearest_batch"):
-            nearest_batch(tree, [QUERY], k=1, ordering="mindist")
-
-
 class TestSilent:
     def test_config_spelling_is_warning_free(self, tree):
         with warnings.catch_warnings():
@@ -64,95 +41,8 @@ class TestSilent:
             nearest_batch(tree, [QUERY], k=3)
 
 
-class TestWarningAttribution:
-    """Deprecation warnings must point at the *caller's* line.
-
-    A warning attributed inside ``repro`` is useless: the caller cannot
-    act on it and cannot silence it by location.  The filename on every
-    caught warning must therefore be this test file — including when an
-    internal forwarding frame (compiled against a ``repro`` source file)
-    sits between the caller and the entry point, which the old fixed
-    ``stacklevel=3`` got wrong.
-    """
-
-    def _filename(self, caught):
-        return os.path.abspath(caught[0].filename)
-
-    def test_nearest_direct_call_points_here(self, tree):
-        with pytest.warns(DeprecationWarning) as caught:
-            nearest(tree, QUERY, k=2, algorithm="best-first")
-        assert self._filename(caught) == os.path.abspath(__file__)
-
-    def test_query_object_direct_call_points_here(self, tree):
-        with pytest.warns(DeprecationWarning) as caught:
-            NearestNeighborQuery(tree, algorithm="best-first")
-        assert self._filename(caught) == os.path.abspath(__file__)
-
-    def test_nearest_batch_direct_call_points_here(self, tree):
-        with pytest.warns(DeprecationWarning) as caught:
-            nearest_batch(tree, [QUERY], k=1, ordering="mindist")
-        assert self._filename(caught) == os.path.abspath(__file__)
-
-    def test_forwarding_frames_inside_repro_are_skipped(self, tree):
-        """Regression: an intermediate repro-attributed frame must not
-        swallow the attribution.
-
-        The wrapper below is compiled against a real ``repro`` source
-        filename, exactly like an internal convenience layer forwarding
-        legacy kwargs into ``nearest``.  The warning must skip over it
-        and land on this file; with the fixed ``stacklevel=3`` it landed
-        on the wrapper's (library) file instead.
-        """
-        import repro.core.config as config_mod
-
-        source = (
-            "def forward(tree, point, _nearest):\n"
-            "    return _nearest(tree, point, k=2, algorithm='best-first')\n"
-        )
-        namespace = {}
-        exec(compile(source, config_mod.__file__, "exec"), namespace)
-        with pytest.warns(DeprecationWarning) as caught:
-            namespace["forward"](tree, QUERY, nearest)
-        assert self._filename(caught) == os.path.abspath(__file__)
-
-
-class TestSameAnswers:
-    def test_legacy_and_config_spellings_agree(self, tree):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = nearest(
-                tree, QUERY, k=3, algorithm="best-first", epsilon=0.2
-            )
-        modern = nearest(
-            tree,
-            QUERY,
-            config=QueryConfig(k=3, algorithm="best-first", epsilon=0.2),
-        )
-        assert [n.payload for n in legacy.neighbors] == [
-            n.payload for n in modern.neighbors
-        ]
-        assert legacy.stats == modern.stats
-
-
 class TestBatchOptionsRouting:
     """nearest_batch execution knobs route through one EngineOptions."""
-
-    def test_legacy_knobs_and_options_agree(self, tree):
-        queries = [QUERY, (0.2, 0.8), (0.9, 0.1)]
-        legacy_results, legacy_stats, legacy_reads = nearest_batch(
-            tree, queries, k=2, buffer_pages=16
-        )
-        opt_results, opt_stats, opt_reads = nearest_batch(
-            tree,
-            queries,
-            k=2,
-            options=EngineOptions.batch_defaults().merged(buffer_pages=16),
-        )
-        assert [r.distances() for r in legacy_results] == [
-            r.distances() for r in opt_results
-        ]
-        assert legacy_stats == opt_stats
-        assert legacy_reads == opt_reads
 
     def test_batch_defaults_reproduce_sequential_accounting(self, tree):
         queries = [QUERY, (0.3, 0.3)]

@@ -22,13 +22,17 @@ class TestNearestFunction:
 
     def test_algorithms_agree(self, small_tree):
         q = (321.0, 654.0)
-        dfs = nearest(small_tree, q, k=4, algorithm="dfs")
-        bf = nearest(small_tree, q, k=4, algorithm="best-first")
+        dfs = nearest(small_tree, q, k=4, config=QueryConfig(algorithm="dfs"))
+        bf = nearest(
+            small_tree, q, k=4, config=QueryConfig(algorithm="best-first")
+        )
         assert dfs.distances() == pytest.approx(bf.distances())
 
     def test_unknown_algorithm(self, small_tree):
         with pytest.raises(InvalidParameterError):
-            nearest(small_tree, (0.0, 0.0), algorithm="magic")
+            nearest(
+                small_tree, (0.0, 0.0), config=QueryConfig(algorithm="magic")
+            )
 
     def test_empty_tree(self):
         result = nearest(RTree(), (0.0, 0.0), k=5)
@@ -50,27 +54,36 @@ class TestNearestNeighborQuery:
 
     def test_validates_algorithm_eagerly(self, small_tree):
         with pytest.raises(InvalidParameterError):
-            NearestNeighborQuery(small_tree, algorithm="nope")
+            NearestNeighborQuery(
+                small_tree, config=QueryConfig(algorithm="nope")
+            )
 
     def test_repr(self, small_tree):
-        query = NearestNeighborQuery(small_tree, k=4, ordering="minmaxdist")
+        query = NearestNeighborQuery(
+            small_tree, k=4, config=QueryConfig(ordering="minmaxdist")
+        )
         assert "k=4" in repr(query)
         assert "minmaxdist" in repr(query)
 
     def test_configured_ordering_used(self, small_tree):
-        query = NearestNeighborQuery(small_tree, k=1, ordering="minmaxdist")
+        query = NearestNeighborQuery(
+            small_tree, k=1, config=QueryConfig(ordering="minmaxdist")
+        )
         result = query((500.0, 500.0))
         baseline = nearest(small_tree, (500.0, 500.0), k=1)
         assert result.distances() == pytest.approx(baseline.distances())
 
 
 class TestCallStyles:
-    """Both entry styles — legacy kwargs and config= — must stay pinned."""
+    """``config=`` says what the query means; ``k=`` overrides its k."""
 
     def test_kwargs_and_config_agree(self, small_tree):
         q = (432.0, 123.0)
         via_kwargs = nearest(
-            small_tree, q, k=4, algorithm="best-first", epsilon=0.0
+            small_tree,
+            q,
+            k=4,
+            config=QueryConfig(algorithm="best-first", epsilon=0.0),
         )
         via_config = nearest(
             small_tree, q, config=QueryConfig(k=4, algorithm="best-first")
@@ -87,19 +100,22 @@ class TestCallStyles:
     def test_query_object_accepts_config(self, small_tree):
         config = QueryConfig(k=3, ordering="minmaxdist")
         query = NearestNeighborQuery(small_tree, config=config)
-        assert query.k == 3
-        assert query.ordering == "minmaxdist"
+        assert query.config is config
         assert len(query((500.0, 500.0))) == 3
 
     def test_query_object_validates_config_eagerly(self, small_tree):
         with pytest.raises(InvalidParameterError):
-            NearestNeighborQuery(small_tree, ordering="sideways")
+            NearestNeighborQuery(
+                small_tree, config=QueryConfig(ordering="sideways")
+            )
         with pytest.raises(InvalidParameterError):
             NearestNeighborQuery(small_tree, k=0)
 
     def test_invalid_ordering_message_lists_choices(self, small_tree):
         with pytest.raises(InvalidParameterError) as excinfo:
-            nearest(small_tree, (0.0, 0.0), ordering="zigzag")
+            nearest(
+                small_tree, (0.0, 0.0), config=QueryConfig(ordering="zigzag")
+            )
         message = str(excinfo.value)
         assert "mindist" in message and "minmaxdist" in message
 

@@ -116,3 +116,29 @@ def test_the_retired_shard_fork_stays_retired():
                 f"engine has one query op (a window), one submit per "
                 f"handle and one _merge"
             )
+
+
+def test_the_retired_config_spellings_stay_retired():
+    """``config=`` and ``options=`` are the only configuration surface:
+    the merge helpers of the loose keyword spellings must not reappear in
+    code, examples, benchmarks or prose."""
+    retired = (
+        "warn_legacy_query_kwargs",
+        "with_overrides",
+        ".merged(",
+        "**legacy",
+        "Migrating to QueryConfig",
+    )
+    files = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    files += sorted((ROOT / "docs").glob("*.md"))
+    files += [ROOT / "README.md"]
+    files += sorted((ROOT / "examples").glob("*.py"))
+    files += sorted((ROOT / "benchmarks").glob("*.py"))
+    assert len(files) > 100
+    for path in files:
+        text = path.read_text()
+        for name in retired:
+            assert name not in text, (
+                f"{path.relative_to(ROOT)} mentions {name}: pass "
+                f"config=QueryConfig(...) / options=EngineOptions(...)"
+            )

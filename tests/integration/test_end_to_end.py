@@ -6,6 +6,7 @@ from repro import (
     CountingTracker,
     LruBufferPool,
     PageModel,
+    QueryConfig,
     RTree,
     bulk_load,
     linear_scan,
@@ -60,7 +61,10 @@ class TestRoadScenario:
         )
         for q in queries:
             got = nearest(
-                tree, q, k=3, object_distance_sq=segment_distance_sq
+                tree,
+                q,
+                k=3,
+                config=QueryConfig(object_distance_sq=segment_distance_sq),
             )
             expected = linear_scan(
                 tree, q, k=3, object_distance_sq=segment_distance_sq
@@ -72,7 +76,12 @@ class TestRoadScenario:
         segments = road_segments(800, seed=34)
         tree = bulk_load([(s.mbr(), s) for s in segments], max_entries=16)
         q = (500.0, 500.0)
-        exact = nearest(tree, q, k=1, object_distance_sq=segment_distance_sq)
+        exact = nearest(
+            tree,
+            q,
+            k=1,
+            config=QueryConfig(object_distance_sq=segment_distance_sq),
+        )
         approx = nearest(tree, q, k=1)
         assert exact.distances()[0] >= approx.distances()[0] - 1e-9
 

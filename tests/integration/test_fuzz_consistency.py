@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro import (
+    QueryConfig,
     RTree,
     linear_scan,
     nearest,
@@ -59,7 +60,7 @@ def _checkpoint(tree, live, rng):
 
     oracle = linear_scan(tree, q, k=k)
     for algorithm in ("dfs", "best-first"):
-        got = nearest(tree, q, k=k, algorithm=algorithm)
+        got = nearest(tree, q, k=k, config=QueryConfig(algorithm=algorithm))
         assert_same_distances(got.neighbors, oracle, tolerance=1e-6)
 
     radius = rng.uniform(0, 60)

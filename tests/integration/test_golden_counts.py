@@ -9,7 +9,7 @@ constants only alongside an explanation in the commit.
 
 import pytest
 
-from repro import CountingTracker, bulk_load, nearest
+from repro import CountingTracker, QueryConfig, bulk_load, nearest
 from repro.bench.experiments import segment_distance_sq
 from repro.datasets import road_segments, uniform_points
 
@@ -61,8 +61,7 @@ class TestGoldenQueries:
             uniform_tree,
             query,
             k=k,
-            algorithm=algorithm,
-            ordering=ordering,
+            config=QueryConfig(algorithm=algorithm, ordering=ordering),
             tracker=tracker,
         )
         assert tracker.stats.total == pages
@@ -75,7 +74,7 @@ class TestGoldenQueries:
             road_tree,
             (500.0, 500.0),
             k=4,
-            object_distance_sq=segment_distance_sq,
+            config=QueryConfig(object_distance_sq=segment_distance_sq),
             tracker=tracker,
         )
         assert tracker.stats.total == 5

@@ -10,6 +10,7 @@ from repro import (
     CountingTracker,
     LruBufferPool,
     PageModel,
+    QueryConfig,
     bulk_load,
     nearest,
 )
@@ -40,7 +41,11 @@ class TestDeterminism:
         for algorithm in ("dfs", "best-first"):
             tracker = CountingTracker()
             result = nearest(
-                tree, (123.0, 456.0), k=3, algorithm=algorithm, tracker=tracker
+                tree,
+                (123.0, 456.0),
+                k=3,
+                config=QueryConfig(algorithm=algorithm),
+                tracker=tracker,
             )
             assert tracker.stats.total == result.stats.nodes_accessed
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import bulk_load
+from repro import EngineOptions, bulk_load
 from repro.core.config import QueryConfig
 from repro.datasets.synthetic import uniform_points
 from repro.obs.cli import main
@@ -51,7 +51,9 @@ class TestTopCommand:
         )
         path = tmp_path / "slow.jsonl"
         with QueryEngine(
-            tree, config=QueryConfig(k=4), workers=1, slow_query_ms=0.0
+            tree,
+            config=QueryConfig(k=4),
+            options=EngineOptions(workers=1, slow_query_ms=0.0),
         ) as eng:
             for query in [(10.0, 10.0), (990.0, 990.0)]:
                 eng.query(query)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro import bulk_load
+from repro import EngineOptions, bulk_load
 from repro.core.config import QueryConfig
 from repro.datasets.synthetic import uniform_points
 from repro.errors import InvalidParameterError
@@ -25,7 +25,9 @@ QUERIES = [(100.0, 100.0), (500.0, 500.0), (900.0, 100.0)]
 
 class TestRequestIds:
     def test_user_trace_gets_monotonic_request_id(self, tree):
-        with QueryEngine(tree, config=QueryConfig(k=2), workers=1) as eng:
+        with QueryEngine(
+            tree, config=QueryConfig(k=2), options=EngineOptions(workers=1)
+        ) as eng:
             seen = []
             for query in QUERIES:
                 trace = Trace()
@@ -36,7 +38,9 @@ class TestRequestIds:
             assert all(rid >= 1 for rid in seen)
 
     def test_cache_verdict_recorded_in_trace(self, tree):
-        with QueryEngine(tree, config=QueryConfig(k=2), workers=1) as eng:
+        with QueryEngine(
+            tree, config=QueryConfig(k=2), options=EngineOptions(workers=1)
+        ) as eng:
             miss = Trace()
             eng.query(QUERIES[0], trace=miss)
             hit = Trace()
@@ -51,7 +55,9 @@ class TestRequestIds:
 class TestSlowQueryLog:
     def test_threshold_zero_logs_every_executed_query(self, tree):
         with QueryEngine(
-            tree, config=QueryConfig(k=3), workers=1, slow_query_ms=0.0
+            tree,
+            config=QueryConfig(k=3),
+            options=EngineOptions(workers=1, slow_query_ms=0.0),
         ) as eng:
             for query in QUERIES:
                 eng.query(query)
@@ -71,7 +77,9 @@ class TestSlowQueryLog:
 
     def test_cache_hits_never_logged(self, tree):
         with QueryEngine(
-            tree, config=QueryConfig(k=3), workers=1, slow_query_ms=0.0
+            tree,
+            config=QueryConfig(k=3),
+            options=EngineOptions(workers=1, slow_query_ms=0.0),
         ) as eng:
             eng.query(QUERIES[0])
             eng.query(QUERIES[0])  # hit — executes nothing
@@ -80,24 +88,28 @@ class TestSlowQueryLog:
 
     def test_unreachable_threshold_logs_nothing(self, tree):
         with QueryEngine(
-            tree, config=QueryConfig(k=3), workers=1, slow_query_ms=1e9
+            tree,
+            config=QueryConfig(k=3),
+            options=EngineOptions(workers=1, slow_query_ms=1e9),
         ) as eng:
             for query in QUERIES:
                 eng.query(query)
             assert len(eng.slow_queries) == 0
 
     def test_forensics_disabled_by_default(self, tree):
-        with QueryEngine(tree, workers=1) as eng:
+        with QueryEngine(tree, options=EngineOptions(workers=1)) as eng:
             eng.query(QUERIES[0])
             assert eng.slow_queries is None
 
     def test_negative_threshold_rejected(self, tree):
         with pytest.raises(InvalidParameterError):
-            QueryEngine(tree, slow_query_ms=-1.0)
+            QueryEngine(tree, options=EngineOptions(slow_query_ms=-1.0))
 
     def test_user_trace_is_preserved_in_record(self, tree):
         with QueryEngine(
-            tree, config=QueryConfig(k=2), workers=1, slow_query_ms=0.0
+            tree,
+            config=QueryConfig(k=2),
+            options=EngineOptions(workers=1, slow_query_ms=0.0),
         ) as eng:
             trace = Trace(label="mine")
             eng.query(QUERIES[0], trace=trace)
@@ -107,7 +119,9 @@ class TestSlowQueryLog:
 
     def test_dump_then_cli_load_roundtrip(self, tree):
         with QueryEngine(
-            tree, config=QueryConfig(k=3), workers=1, slow_query_ms=0.0
+            tree,
+            config=QueryConfig(k=3),
+            options=EngineOptions(workers=1, slow_query_ms=0.0),
         ) as eng:
             for query in QUERIES:
                 eng.query(query)
@@ -123,7 +137,9 @@ class TestEngineStatsExport:
     def test_export_flattens_for_registry(self, tree):
         from repro.obs import MetricsRegistry
 
-        with QueryEngine(tree, config=QueryConfig(k=2), workers=1) as eng:
+        with QueryEngine(
+            tree, config=QueryConfig(k=2), options=EngineOptions(workers=1)
+        ) as eng:
             eng.query(QUERIES[0])
             eng.query(QUERIES[0])
             registry = MetricsRegistry()

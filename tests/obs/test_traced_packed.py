@@ -17,6 +17,7 @@ Two contracts:
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.obs import Trace
 from repro.packed.kernels import packed_nearest_best_first, packed_nearest_dfs
 from repro.packed.layout import PackedTree
 from repro.rtree.disk import DiskRTree, write_tree
+from repro.service.options import EngineOptions
 from repro.storage.faults import FaultInjectingPageFile, FaultPlan
 
 pytestmark = [pytest.mark.obs, pytest.mark.packed]
@@ -44,6 +46,8 @@ DFS_CELLS = [
     for ordering in ("mindist", "minmaxdist")
     for pruning in (None, PruningConfig.none(), PruningConfig.all())
 ]
+
+PACKED_BATCH = replace(EngineOptions.batch_defaults(), packed=True)
 
 
 def _queries(dim):
@@ -271,11 +275,11 @@ class TestCorruptSkipPropagation:
             warnings.simplefilter("ignore", CorruptionWarning)
             with self._open_degraded(disk_path, leaf_page) as disk:
                 obj_results, obj_combined, _ = nearest_batch(
-                    disk, queries, k=self.N, packed=False
+                    disk, queries, k=self.N
                 )
             with self._open_degraded(disk_path, leaf_page) as disk:
                 pk_results, pk_combined, _ = nearest_batch(
-                    disk, queries, k=self.N, packed=True
+                    disk, queries, k=self.N, options=PACKED_BATCH
                 )
         assert all(r.stats.pages_skipped_corrupt == 1 for r in obj_results)
         assert all(r.stats.pages_skipped_corrupt == 1 for r in pk_results)

@@ -1,8 +1,11 @@
 """The packed path through the serving layer and batch API."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
+    EngineOptions,
     QueryConfig,
     QueryEngine,
     RTree,
@@ -14,6 +17,10 @@ from repro.geometry.rect import Rect
 from repro.errors import InvalidParameterError
 
 pytestmark = [pytest.mark.packed, pytest.mark.service]
+
+ONE_WORKER = EngineOptions(workers=1)
+PACKED_ONE = EngineOptions(workers=1, packed=True)
+PACKED_BATCH = replace(EngineOptions.batch_defaults(), packed=True)
 
 
 def _tree(n=600):
@@ -37,8 +44,8 @@ class TestEnginePacked:
         tree = _tree()
         queries = _queries()
         config = QueryConfig(k=5)
-        with QueryEngine(tree, config=config, workers=1, packed=True) as pk, \
-                QueryEngine(tree, config=config, workers=1) as obj:
+        with QueryEngine(tree, config=config, options=PACKED_ONE) as pk, \
+                QueryEngine(tree, config=config, options=ONE_WORKER) as obj:
             for a, b in zip(pk.query_batch(queries), obj.query_batch(queries)):
                 assert a.payloads() == b.payloads()
                 assert a.distances() == b.distances()
@@ -46,7 +53,7 @@ class TestEnginePacked:
 
     def test_rebuild_on_epoch_bump(self):
         tree = _tree()
-        with QueryEngine(tree, workers=1, packed=True) as engine:
+        with QueryEngine(tree, options=PACKED_ONE) as engine:
             engine.query((50.0, 50.0), k=1)
             before = tree.packed()
             assert before.epoch == tree.epoch
@@ -63,8 +70,8 @@ class TestEnginePacked:
     def test_best_first_config_routes_packed(self):
         tree = _tree()
         config = QueryConfig(k=3, algorithm="best-first")
-        with QueryEngine(tree, config=config, workers=1, packed=True) as pk, \
-                QueryEngine(tree, config=config, workers=1) as obj:
+        with QueryEngine(tree, config=config, options=PACKED_ONE) as pk, \
+                QueryEngine(tree, config=config, options=ONE_WORKER) as obj:
             for q in _queries(10):
                 a, b = pk.query(q), obj.query(q)
                 assert a.payloads() == b.payloads()
@@ -79,8 +86,8 @@ class TestEnginePacked:
             return dx * dx + dy * dy
 
         config = QueryConfig(k=3, object_distance_sq=hook)
-        with QueryEngine(tree, config=config, workers=1, packed=True) as pk, \
-                QueryEngine(tree, config=config, workers=1) as obj:
+        with QueryEngine(tree, config=config, options=PACKED_ONE) as pk, \
+                QueryEngine(tree, config=config, options=ONE_WORKER) as obj:
             for q in _queries(10):
                 a, b = pk.query(q), obj.query(q)
                 assert a.payloads() == b.payloads()
@@ -88,7 +95,7 @@ class TestEnginePacked:
 
     def test_cache_serves_packed_results(self):
         tree = _tree()
-        with QueryEngine(tree, workers=1, packed=True) as engine:
+        with QueryEngine(tree, options=PACKED_ONE) as engine:
             first = engine.query((10.0, 10.0), k=2)
             second = engine.query((10.0, 10.0), k=2)
             assert second is first  # served from the result cache
@@ -99,8 +106,10 @@ class TestEnginePacked:
         queries = _queries(60)
         config = QueryConfig(k=4)
         with QueryEngine(
-            tree, config=config, workers=4, packed=True
-        ) as pk, QueryEngine(tree, config=config, workers=1) as obj:
+            tree,
+            config=config,
+            options=EngineOptions(workers=4, packed=True),
+        ) as pk, QueryEngine(tree, config=config, options=ONE_WORKER) as obj:
             for a, b in zip(pk.query_batch(queries), obj.query_batch(queries)):
                 assert a.payloads() == b.payloads()
                 assert a.stats == b.stats
@@ -113,7 +122,9 @@ class TestEnginePacked:
         queries = _queries(24)
         live = list(tree.items())
         with QueryEngine(
-            tree, config=QueryConfig(k=5), workers=4, packed=True, cache_size=0
+            tree,
+            config=QueryConfig(k=5),
+            options=EngineOptions(workers=4, packed=True, cache_size=0),
         ) as engine:
             for step in range(60):
                 if step % 3 == 2:
@@ -137,7 +148,7 @@ class TestEnginePacked:
         points = [(float(i), float(i)) for i in range(10)]
         kdtree = KdTree([(p, i) for i, p in enumerate(points)])
         with pytest.raises(InvalidParameterError):
-            QueryEngine(kdtree, packed=True)
+            QueryEngine(kdtree, options=EngineOptions(packed=True))
 
 
 class TestBatchPacked:
@@ -145,7 +156,7 @@ class TestBatchPacked:
         tree = _tree()
         queries = _queries()
         pk_results, pk_stats, pk_reads = nearest_batch(
-            tree, queries, k=3, packed=True
+            tree, queries, k=3, options=PACKED_BATCH
         )
         obj_results, obj_stats, obj_reads = nearest_batch(tree, queries, k=3)
         assert [r.payloads() for r in pk_results] == [
@@ -162,12 +173,11 @@ class TestBatchPacked:
             dy = query[1] - rect.lo[1]
             return dx * dx + dy * dy
 
+        config = QueryConfig(k=2, object_distance_sq=hook)
         pk_results, _, _ = nearest_batch(
-            tree, _queries(10), k=2, packed=True, object_distance_sq=hook
+            tree, _queries(10), config=config, options=PACKED_BATCH
         )
-        obj_results, _, _ = nearest_batch(
-            tree, _queries(10), k=2, object_distance_sq=hook
-        )
+        obj_results, _, _ = nearest_batch(tree, _queries(10), config=config)
         assert [r.payloads() for r in pk_results] == [
             r.payloads() for r in obj_results
         ]

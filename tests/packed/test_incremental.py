@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PackedTree, RTree, bulk_load
+from repro import EngineOptions, PackedTree, RTree, bulk_load
 from repro.geometry.rect import Rect
 from repro.rtree.splits import resolve_split_strategy
 
@@ -259,7 +259,9 @@ class TestSingleFlight:
         from repro import QueryEngine
 
         tree, _ = _start(2, True, "quadratic", False)
-        with QueryEngine(tree, workers=4, packed=True) as engine:
+        with QueryEngine(
+            tree, options=EngineOptions(workers=4, packed=True)
+        ) as engine:
             engine.query((1.0, 1.0), k=1)
             calls = self._count_compiles(monkeypatch)
             engine.insert((6.5, 6.5), payload="new")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import (
+    QueryConfig,
     RTree,
     bulk_load,
     linear_scan_items,
@@ -103,7 +104,9 @@ class TestQueries:
         with DiskRTree(disk_path) as disk:
             for q in [(0.0, 0.0), (500.0, 500.0), (77.0, 913.0)]:
                 for algorithm in ("dfs", "best-first"):
-                    got = nearest(disk, q, k=k, algorithm=algorithm)
+                    got = nearest(
+                        disk, q, k=k, config=QueryConfig(algorithm=algorithm)
+                    )
                     assert_same_distances(got.neighbors, oracle(points, q, k))
 
     def test_incremental_and_within(self, disk_path, points):

@@ -12,16 +12,31 @@ sharded door used to answer ``(inf, 0)`` with an empty exact answer.
 
 At the bound itself every door answers ``min(k, size)`` neighbours, the
 kernels agree bit for bit, and nothing raises a ``RuntimeWarning``.
+
+The query fields follow one type rule the same way: a ``bool`` is not a
+``k``, an ``epsilon`` or a ``max_pages``, and a string is not a number —
+:class:`InvalidParameterError` at every library door, a 400 over HTTP.
+And a per-call ``k=`` on top of a ``config=`` means the same thing at
+every door.
 """
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from repro import QueryConfig, ShardedQueryEngine, nearest
+from repro import (
+    Budget,
+    NearestNeighborQuery,
+    QueryConfig,
+    ResilientEngine,
+    ShardedQueryEngine,
+    nearest,
+    nearest_batch,
+)
 from repro.datasets import uniform_points
-from repro.errors import GeometryError
+from repro.errors import GeometryError, InvalidParameterError
 from repro.geometry.rect import Rect
 from repro.packed.batch import packed_nearest_batch
 from repro.packed.kernels import packed_nearest_best_first
@@ -51,6 +66,32 @@ GOOD = {
     "at-minus-bound": (-B, -B),
     "corner-to-corner": (B, B),
 }
+POINT = (500.0, 500.0)
+#: Wrong-typed query fields.  Each used to be coerced by some door:
+#: ``k=True`` ran as k=1, ``epsilon=True`` as 1.0, ``"epsilon": "0.5"``
+#: as 0.5, ``"max_pages": 2.7`` as 2 and ``1e30`` as a 31-digit int.
+BAD_FIELDS = {
+    "k-true": ("k", True),
+    "epsilon-true": ("epsilon", True),
+    "epsilon-string": ("epsilon", "0.5"),
+    "max-pages-fraction": ("max_pages", 2.7),
+    "max-pages-string": ("max_pages", "3"),
+    "max-pages-1e30": ("max_pages", 1e30),
+    "max-pages-true": ("max_pages", True),
+}
+#: A per-call ``k`` different from ``CFG.k``.
+K_CALL = 3
+K_DOORS = [
+    "nearest",
+    "NearestNeighborQuery",
+    "nearest_batch",
+    "QueryEngine.query",
+    "QueryEngine.submit",
+    "QueryEngine.query_batch",
+    "ResilientEngine.submit",
+    "ShardedQueryEngine inline",
+    "HTTP /query",
+]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +116,7 @@ def doors():
     object_thread = QueryEngine(
         tree, config=CFG, options=EngineOptions(workers=1, cache_size=0)
     )
+    resilient = ResilientEngine(tree, config=CFG, workers=1, options=OPTIONS)
     harness = ServerHarness(
         NNServer(QueryEngine(tree, config=CFG, options=OPTIONS))
     ).start()
@@ -103,18 +145,61 @@ def doors():
             process.query_batch([p])[0].neighbors
         ),
     }
+    # The doors that take ``k`` per call, on top of the engine's config.
+    per_call_k = {
+        "nearest": lambda p, k: nearest(tree, p, k=k, config=CFG),
+        "NearestNeighborQuery": (
+            lambda p, k: NearestNeighborQuery(tree, config=CFG)(p, k=k)
+        ),
+        "nearest_batch": (
+            lambda p, k: nearest_batch(tree, [p], k=k, config=CFG)[0][0]
+        ),
+        "QueryEngine.query": lambda p, k: thread.query(p, k=k),
+        "QueryEngine.submit": lambda p, k: thread.submit(p, k=k).result(),
+        "QueryEngine.query_batch": (
+            lambda p, k: thread.query_batch([p], k=k)[0]
+        ),
+        "ResilientEngine.submit": (
+            lambda p, k: resilient.submit(p, k=k).result().result
+        ),
+        "ShardedQueryEngine inline": lambda p, k: inline.query(p, k=k),
+        "ShardedQueryEngine process": lambda p, k: process.query(p, k=k),
+    }
+    # The same doors with the k inside the config instead.
+    want = CFG.replace(k=K_CALL)
+    via_config = {
+        "nearest": lambda p: nearest(tree, p, config=want),
+        "NearestNeighborQuery": lambda p: NearestNeighborQuery(
+            tree, config=want
+        )(p),
+        "nearest_batch": lambda p: nearest_batch(tree, [p], config=want)[0][0],
+        "QueryEngine.query": lambda p: thread.query(p, config=want),
+        "QueryEngine.submit": (
+            lambda p: thread.submit(p, config=want).result()
+        ),
+        "QueryEngine.query_batch": (
+            lambda p: thread.query_batch([p], config=want)[0]
+        ),
+        "ResilientEngine.submit": (
+            lambda p: resilient.submit(p, config=want).result().result
+        ),
+        "ShardedQueryEngine inline": lambda p: inline.query(p, config=want),
+    }
     try:
-        yield library, harness, ptree.size
+        yield SimpleNamespace(
+            library=library, harness=harness, size=ptree.size, tree=tree,
+            ptree=ptree, per_call_k=per_call_k, via_config=via_config,
+        )
     finally:
         harness.stop()
-        for engine in (thread, object_thread, inline, process):
+        for engine in (thread, object_thread, inline, process, resilient):
             engine.close()
 
 
 @pytest.mark.parametrize("mode", ["cold", "warm"])
 @pytest.mark.parametrize("point", list(BAD.values()), ids=list(BAD))
 def test_every_door_rejects_the_same_coordinates(doors, point, mode, kernel_clock):
-    library, harness, _ = doors
+    library, harness = doors.library, doors.harness
     kernel_clock(mode)
     for name, door in library.items():
         with pytest.raises(GeometryError):
@@ -131,7 +216,7 @@ def test_every_door_rejects_the_same_coordinates(doors, point, mode, kernel_cloc
 @pytest.mark.parametrize("mode", ["cold", "warm"])
 @pytest.mark.parametrize("point", list(GOOD.values()), ids=list(GOOD))
 def test_at_the_bound_every_door_answers_in_full(doors, point, mode, kernel_clock):
-    library, harness, size = doors
+    library, harness, size = doors.library, doors.harness, doors.size
     kernel_clock(mode)
     answers = {}
     with warnings.catch_warnings():
@@ -156,3 +241,56 @@ def test_at_the_bound_every_door_answers_in_full(doors, point, mode, kernel_cloc
         assert status == 200, body
         result = body if path == "/query" else body["results"][0]
         assert len(result["neighbors"]) == K and not result["truncated"]
+
+
+@pytest.mark.parametrize(
+    "field,value", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS)
+)
+def test_every_door_rejects_the_same_query_fields(doors, field, value):
+    ptree = doors.ptree
+    if field == "max_pages":
+        library = {"Budget": lambda: Budget(max_pages=value)}
+    else:
+        kw = {field: value}
+        library = {
+            "QueryConfig": lambda: QueryConfig(**kw),
+            "packed solo": (
+                lambda: packed_nearest_best_first(ptree, POINT, **kw)
+            ),
+            "packed block (batch)": (
+                lambda: packed_nearest_batch(ptree, [POINT], **kw)
+            ),
+        }
+    if field == "k":
+        for name, door in doors.per_call_k.items():
+            library[name] = lambda door=door: door(POINT, value)
+    for name, call in library.items():
+        with pytest.raises(InvalidParameterError):
+            call()
+            pytest.fail(f"{name} accepted {field}={value!r}")
+    for path, payload in (
+        ("/query", {"point": list(POINT), field: value}),
+        ("/batch", {"points": [list(POINT)], field: value}),
+    ):
+        status, _, body = doors.harness.request_json("POST", path, payload)
+        assert status == 400 and field in body["error"], (path, body)
+
+
+@pytest.mark.parametrize("door", K_DOORS)
+def test_a_per_call_k_means_the_same_at_every_door(doors, door):
+    """``k=`` over a config with another k answers what the config with
+    that k answers: same neighbours, same ``SearchStats``."""
+    reference = nearest(doors.tree, POINT, config=CFG.replace(k=K_CALL))
+    want = [(n.payload, n.distance_squared.hex()) for n in reference]
+    assert len(want) == K_CALL != CFG.k
+    if door == "HTTP /query":
+        status, _, body = doors.harness.request_json(
+            "POST", "/query", {"point": list(POINT), "k": K_CALL}
+        )
+        assert status == 200, body
+        got = [(n["payload"], n["distance"]) for n in body["neighbors"]]
+        assert got == [(n.payload, n.distance) for n in reference]
+        return
+    got = doors.per_call_k[door](POINT, K_CALL)
+    assert [(n.payload, n.distance_squared.hex()) for n in got] == want
+    assert got.stats == doors.via_config[door](POINT).stats

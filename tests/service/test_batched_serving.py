@@ -10,19 +10,19 @@ latency samples) exactly what the sequential path would have recorded.
 
 import pytest
 
-from repro import QueryConfig, QueryEngine, nearest
+from repro import EngineOptions, QueryConfig, QueryEngine, nearest
 from repro.core.budget import Budget
 from repro.datasets.queries import query_points_uniform
 
 pytestmark = pytest.mark.service
 
 
-def _served_pair(tree, queries, config, **kwargs):
+def _served_pair(tree, queries, config, options):
     """(batched engine results+stats, sequential engine results+stats)."""
-    with QueryEngine(tree, config=config, packed=True, **kwargs) as eng:
+    with QueryEngine(tree, config=config, options=options) as eng:
         batched = eng.query_batch(queries)
         batched_stats = eng.stats()
-    with QueryEngine(tree, config=config, packed=True, **kwargs) as eng:
+    with QueryEngine(tree, config=config, options=options) as eng:
         sequential = [eng.query(q) for q in queries]
         sequential_stats = eng.stats()
     return batched, batched_stats, sequential, sequential_stats
@@ -33,7 +33,8 @@ class TestBatchedPath:
         queries = query_points_uniform(48, seed=31)
         config = QueryConfig(k=4, algorithm="best-first")
         batched, b_stats, sequential, s_stats = _served_pair(
-            medium_tree, queries, config, workers=1
+            medium_tree, queries, config,
+            EngineOptions(packed=True, workers=1),
         )
         for got, want in zip(batched, sequential):
             assert got.payloads() == want.payloads()
@@ -48,7 +49,9 @@ class TestBatchedPath:
         config = QueryConfig(k=3, algorithm="best-first")
         expected = [nearest(medium_tree, q, config=config) for q in queries]
         with QueryEngine(
-            medium_tree, config=config, packed=True, workers=1
+            medium_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1),
         ) as eng:
             served = eng.query_batch(queries)
         for got, want in zip(served, expected):
@@ -59,7 +62,9 @@ class TestBatchedPath:
         queries = [(500.0, 500.0)] * 10 + [(100.0, 100.0)] * 5
         config = QueryConfig(k=2, algorithm="best-first")
         with QueryEngine(
-            small_tree, config=config, packed=True, workers=1
+            small_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1),
         ) as eng:
             results = eng.query_batch(queries)
             stats = eng.stats()
@@ -72,7 +77,9 @@ class TestBatchedPath:
     def test_warm_cache_short_circuits_the_window(self, small_tree):
         config = QueryConfig(k=2, algorithm="best-first")
         with QueryEngine(
-            small_tree, config=config, packed=True, workers=1
+            small_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1),
         ) as eng:
             eng.query((500.0, 500.0))
             eng.query_batch([(500.0, 500.0), (500.0, 500.0)])
@@ -83,7 +90,9 @@ class TestBatchedPath:
     def test_cache_disabled_executes_every_member(self, small_tree):
         config = QueryConfig(k=2, algorithm="best-first")
         with QueryEngine(
-            small_tree, config=config, packed=True, workers=1, cache_size=0
+            small_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1, cache_size=0),
         ) as eng:
             eng.query_batch([(500.0, 500.0)] * 6)
             assert eng.stats().executed == 6
@@ -92,7 +101,9 @@ class TestBatchedPath:
         config = QueryConfig(k=2, algorithm="best-first")
         queries = query_points_uniform(8, seed=3)
         with QueryEngine(
-            small_tree, config=config, packed=True, workers=1, cache_size=0
+            small_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1, cache_size=0),
         ) as eng:
             eng.query_batch(queries)
             assert eng.stats().queries == len(queries)
@@ -115,11 +126,15 @@ class TestRoutingGate:
     def test_fallback_configs_still_serve(self, medium_tree, config):
         queries = query_points_uniform(12, seed=11)
         with QueryEngine(
-            medium_tree, config=config, packed=True, workers=1, cache_size=0
+            medium_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=1, cache_size=0),
         ) as eng:
             served = eng.query_batch(queries)
             assert eng.stats().executed == len(queries)
-        with QueryEngine(medium_tree, config=config, workers=1) as eng:
+        with QueryEngine(
+            medium_tree, config=config, options=EngineOptions(workers=1)
+        ) as eng:
             expected = [eng.query(q) for q in queries]
         for got, want in zip(served, expected):
             assert got.payloads() == want.payloads()
@@ -129,7 +144,9 @@ class TestRoutingGate:
         config = QueryConfig(k=3, algorithm="best-first")
         queries = query_points_uniform(12, seed=13)
         with QueryEngine(
-            medium_tree, config=config, packed=True, workers=4, cache_size=0
+            medium_tree,
+            config=config,
+            options=EngineOptions(packed=True, workers=4, cache_size=0),
         ) as eng:
             served = eng.query_batch(queries)
         expected = [nearest(medium_tree, q, config=config) for q in queries]

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import QueryConfig, QueryEngine, linear_scan, nearest
+from repro import EngineOptions, QueryConfig, QueryEngine, linear_scan, nearest
 from repro.datasets import uniform_points
 from repro.datasets.queries import (
     query_points_clustered_sessions,
@@ -32,7 +32,9 @@ pytestmark = pytest.mark.service
 
 @pytest.fixture
 def engine(small_tree):
-    with QueryEngine(small_tree, config=QueryConfig(k=3), workers=1) as eng:
+    with QueryEngine(
+        small_tree, config=QueryConfig(k=3), options=EngineOptions(workers=1)
+    ) as eng:
         yield eng
 
 
@@ -66,7 +68,9 @@ class TestQueryCaching:
         assert engine.stats().cache_hits == 0
 
     def test_cache_disabled_always_executes(self, small_tree):
-        with QueryEngine(small_tree, workers=1, cache_size=0) as eng:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=1, cache_size=0)
+        ) as eng:
             eng.query((500.0, 500.0))
             eng.query((500.0, 500.0))
             stats = eng.stats()
@@ -76,7 +80,11 @@ class TestQueryCaching:
 
 class TestEpochInvalidation:
     def test_insert_invalidates(self, small_tree):
-        with QueryEngine(small_tree, config=QueryConfig(k=1), workers=1) as eng:
+        with QueryEngine(
+            small_tree,
+            config=QueryConfig(k=1),
+            options=EngineOptions(workers=1),
+        ) as eng:
             before = eng.query((500.0, 500.0))
             eng.insert((500.0, 500.0), payload="new-closest")
             after = eng.query((500.0, 500.0))
@@ -89,7 +97,11 @@ class TestEpochInvalidation:
             assert stats.cache_invalidated >= 1
 
     def test_delete_invalidates(self, small_tree):
-        with QueryEngine(small_tree, config=QueryConfig(k=1), workers=1) as eng:
+        with QueryEngine(
+            small_tree,
+            config=QueryConfig(k=1),
+            options=EngineOptions(workers=1),
+        ) as eng:
             victim = eng.query((500.0, 500.0))
             rect = victim[0].rect
             payload = victim[0].payload
@@ -111,7 +123,9 @@ class TestBatchSemantics:
         queries = query_points_uniform(64, seed=31)
         config = QueryConfig(k=4)
         expected = [nearest(medium_tree, q, config=config) for q in queries]
-        with QueryEngine(medium_tree, config=config, workers=4) as eng:
+        with QueryEngine(
+            medium_tree, config=config, options=EngineOptions(workers=4)
+        ) as eng:
             served = eng.query_batch(queries)
         assert len(served) == len(expected)
         for got, want in zip(served, expected):
@@ -120,7 +134,7 @@ class TestBatchSemantics:
 
     def test_batch_coalesces_duplicates(self, small_tree):
         queries = [(500.0, 500.0)] * 10 + [(100.0, 100.0)] * 5
-        with QueryEngine(small_tree, workers=4) as eng:
+        with QueryEngine(small_tree, options=EngineOptions(workers=4)) as eng:
             results = eng.query_batch(queries)
             stats = eng.stats()
         assert len(results) == 15
@@ -129,7 +143,9 @@ class TestBatchSemantics:
 
     def test_batch_without_cache_runs_everything(self, small_tree):
         queries = [(500.0, 500.0)] * 6
-        with QueryEngine(small_tree, workers=4, cache_size=0) as eng:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=4, cache_size=0)
+        ) as eng:
             eng.query_batch(queries)
             assert eng.stats().executed == 6
 
@@ -148,7 +164,7 @@ class TestBatchSemantics:
             engine.query_batch([])
 
     def test_closed_engine_rejects_queries(self, small_tree):
-        eng = QueryEngine(small_tree, workers=2)
+        eng = QueryEngine(small_tree, options=EngineOptions(workers=2))
         eng.close()
         with pytest.raises(InvalidParameterError):
             eng.query_batch([(0.0, 0.0)])
@@ -172,7 +188,9 @@ class TestConcurrencyWithMutations:
         failures = []
         stop = threading.Event()
 
-        with QueryEngine(tree, config=QueryConfig(k=3), workers=4) as eng:
+        with QueryEngine(
+            tree, config=QueryConfig(k=3), options=EngineOptions(workers=4)
+        ) as eng:
 
             def querier():
                 try:
@@ -209,7 +227,7 @@ class TestConcurrencyWithMutations:
             assert stats.epoch > 0  # the mutator really ran
 
     def test_insert_bumps_visible_epoch_under_load(self, small_tree):
-        with QueryEngine(small_tree, workers=2) as eng:
+        with QueryEngine(small_tree, options=EngineOptions(workers=2)) as eng:
             eng.query((500.0, 500.0))
             epoch = eng.stats().epoch
             eng.insert((1.0, 1.0), payload="x")
@@ -224,7 +242,9 @@ class TestDiskTreeServing:
         with build_disk_index(items, path):
             pass
         with DiskRTree(path) as disk:
-            with QueryEngine(disk, config=QueryConfig(k=3), workers=4) as eng:
+            with QueryEngine(
+                disk, config=QueryConfig(k=3), options=EngineOptions(workers=4)
+            ) as eng:
                 queries = query_points_uniform(16, seed=43)
                 served = eng.query_batch(queries)
                 expected = [nearest(disk, q, k=3) for q in queries]
@@ -240,7 +260,9 @@ class TestDiskTreeServing:
         with build_disk_index([(p, i) for i, p in enumerate(small_points)], path):
             pass
         with DiskRTree(path) as disk:
-            with QueryEngine(disk, workers=4, buffer_pages=32) as eng:
+            with QueryEngine(
+                disk, options=EngineOptions(workers=4, buffer_pages=32)
+            ) as eng:
                 eng.query_batch(query_points_uniform(32, seed=44))
                 stats = eng.stats()
                 logical = eng.tracker.aggregate().total
@@ -250,11 +272,11 @@ class TestDiskTreeServing:
 class TestEngineConstruction:
     def test_invalid_workers(self, small_tree):
         with pytest.raises(InvalidParameterError):
-            QueryEngine(small_tree, workers=0)
+            QueryEngine(small_tree, options=EngineOptions(workers=0))
 
     def test_invalid_buffer_pages(self, small_tree):
         with pytest.raises(InvalidParameterError):
-            QueryEngine(small_tree, buffer_pages=-1)
+            QueryEngine(small_tree, options=EngineOptions(buffer_pages=-1))
 
     def test_defaults(self, small_tree):
         with QueryEngine(small_tree) as eng:

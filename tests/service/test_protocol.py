@@ -20,7 +20,9 @@ pytestmark = pytest.mark.service
 
 class TestConformance:
     def test_query_engine_is_an_engine(self, small_tree):
-        with QueryEngine(small_tree, workers=1) as engine:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=1)
+        ) as engine:
             assert isinstance(engine, Engine)
 
     def test_resilient_engine_is_an_engine(self, small_tree):
@@ -33,7 +35,9 @@ class TestConformance:
 
 class TestSubmit:
     def test_submit_agrees_with_query(self, small_tree):
-        with QueryEngine(small_tree, workers=1) as engine:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=1)
+        ) as engine:
             direct = engine.query((0.5, 0.5), k=3)
             future = engine.submit((0.5, 0.5), k=3)
             assert [n.payload for n in future.result().neighbors] == [
@@ -41,7 +45,7 @@ class TestSubmit:
             ]
 
     def test_submit_without_pool_carries_exceptions(self, small_tree):
-        engine = QueryEngine(small_tree, workers=1)
+        engine = QueryEngine(small_tree, options=EngineOptions(workers=1))
         engine.close()
         with pytest.raises(InvalidParameterError):
             engine.submit((0.0, 0.0), k=1)
@@ -49,7 +53,9 @@ class TestSubmit:
 
 class TestSnapshot:
     def test_thread_snapshot_shape(self, small_tree):
-        with QueryEngine(small_tree, workers=2, packed=False) as engine:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=2, packed=False)
+        ) as engine:
             snap = engine.snapshot()
             assert isinstance(snap, EngineSnapshot)
             assert snap.backend == "thread"
@@ -58,7 +64,9 @@ class TestSnapshot:
             assert "epoch" in snap.describe() or snap.describe()
 
     def test_snapshot_epoch_tracks_mutation(self, small_tree):
-        with QueryEngine(small_tree, workers=1) as engine:
+        with QueryEngine(
+            small_tree, options=EngineOptions(workers=1)
+        ) as engine:
             before = engine.snapshot().epoch
             engine.insert((0.25, 0.25), payload="new")
             assert engine.snapshot().epoch != before
@@ -75,7 +83,7 @@ class TestComposition:
     def test_resilient_requires_exactly_one_backend(self, small_tree):
         with pytest.raises(InvalidParameterError):
             ResilientEngine()
-        inner = QueryEngine(small_tree, workers=1)
+        inner = QueryEngine(small_tree, options=EngineOptions(workers=1))
         try:
             with pytest.raises(InvalidParameterError):
                 ResilientEngine(small_tree, engine=inner)
@@ -85,10 +93,12 @@ class TestComposition:
     def test_resilient_rejects_engine_plus_construction_knobs(
         self, small_tree
     ):
-        inner = QueryEngine(small_tree, workers=1)
+        inner = QueryEngine(small_tree, options=EngineOptions(workers=1))
         try:
             with pytest.raises(InvalidParameterError):
-                ResilientEngine(engine=inner, cache_size=64)
+                ResilientEngine(
+                    engine=inner, options=EngineOptions(cache_size=64)
+                )
         finally:
             inner.close()
 
@@ -107,27 +117,27 @@ class TestComposition:
 
 
 class TestOptionsRouting:
-    def test_options_and_legacy_kwargs_build_identical_engines(
-        self, small_tree
-    ):
-        with QueryEngine(
-            small_tree, options=EngineOptions(workers=2, cache_size=8)
-        ) as via_options, QueryEngine(
-            small_tree, workers=2, cache_size=8
-        ) as via_kwargs:
-            assert via_options.options == via_kwargs.options
-
-    def test_legacy_kwargs_override_options_fields(self, small_tree):
-        with QueryEngine(
-            small_tree,
-            options=EngineOptions(workers=4, cache_size=8),
-            workers=1,
-        ) as engine:
-            assert engine.options.workers == 1
-            assert engine.options.cache_size == 8
-
     def test_invalid_options_rejected(self, small_tree):
         with pytest.raises(InvalidParameterError):
             EngineOptions(workers=0)
         with pytest.raises(InvalidParameterError):
-            QueryEngine(small_tree, workers=0)
+            QueryEngine(small_tree, options=EngineOptions(workers=0))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # "no" is truthy: it used to turn packed serving *on*.
+            ("packed", "no"),
+            ("packed", 1),
+            ("workers", True),
+            ("workers", 2.0),
+            ("cache_size", 2.5),
+            ("cache_size", False),
+            ("buffer_pages", 1.5),
+            ("slow_log", 2.5),
+            ("slow_log", True),
+        ],
+    )
+    def test_options_reject_the_wrong_type(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            EngineOptions(**{field: value})

@@ -24,7 +24,7 @@ from concurrent.futures import wait
 
 import pytest
 
-from repro import QueryConfig, QueryEngine, nearest
+from repro import EngineOptions, QueryConfig, QueryEngine, nearest
 from repro.core.budget import Budget
 from repro.datasets import uniform_points
 from repro.errors import (
@@ -149,7 +149,10 @@ class TestBrownoutController:
 class TestAdmissionControl:
     def test_serves_and_conserves_under_overload(self, tree):
         with ResilientEngine(
-            tree, workers=2, queue_capacity=4, cache_size=0
+            tree,
+            workers=2,
+            queue_capacity=4,
+            options=EngineOptions(cache_size=0),
         ) as eng:
             futs = [eng.submit((0.5, 0.5), k=3) for _ in range(40)]
             outcomes = {"served": 0, "shed": 0}
@@ -169,7 +172,7 @@ class TestAdmissionControl:
     def test_reject_newest_keeps_waiters(self, tree):
         eng = ResilientEngine(
             tree, workers=1, queue_capacity=2,
-            shed_policy="reject-newest", cache_size=0,
+            shed_policy="reject-newest", options=EngineOptions(cache_size=0),
         )
         try:
             futs = [eng.submit((0.1, 0.9), k=2) for _ in range(20)]
@@ -184,7 +187,7 @@ class TestAdmissionControl:
     def test_adaptive_lifo_evicts_oldest(self, tree):
         eng = ResilientEngine(
             tree, workers=1, queue_capacity=2,
-            shed_policy="adaptive-lifo", cache_size=0,
+            shed_policy="adaptive-lifo", options=EngineOptions(cache_size=0),
         )
         try:
             futs = [eng.submit((0.1, 0.9), k=2) for _ in range(20)]
@@ -201,7 +204,7 @@ class TestAdmissionControl:
         eng = ResilientEngine(
             tree, workers=1, queue_capacity=8,
             shed_policy="expired-drop", queue_timeout_ms=1.0,
-            cache_size=0, clock=lambda: clk[0],
+            options=EngineOptions(cache_size=0), clock=lambda: clk[0],
         )
         try:
             # Stuff the queue, then advance the injected clock past the
@@ -220,7 +223,9 @@ class TestAdmissionControl:
     def test_quota_isolates_clients(self, tree):
         eng = ResilientEngine(
             tree, workers=1, queue_capacity=32,
-            quota_rate=0.001, quota_burst=2, cache_size=0,
+            quota_rate=0.001,
+            quota_burst=2,
+            options=EngineOptions(cache_size=0),
         )
         try:
             noisy = [eng.submit((0.3, 0.3), k=1, client="noisy")
@@ -242,7 +247,8 @@ class TestAdmissionControl:
     def test_default_budget_applies_when_caller_has_none(self, tree):
         eng = ResilientEngine(
             tree, workers=1, queue_capacity=4,
-            default_budget=Budget(max_pages=2), cache_size=0,
+            default_budget=Budget(max_pages=2),
+            options=EngineOptions(cache_size=0),
         )
         try:
             served = eng.query((0.7, 0.7), k=10)
@@ -258,7 +264,7 @@ class TestAdmissionControl:
 
     def test_submit_after_close_rejects_cleanly(self, tree):
         eng = ResilientEngine(tree, workers=1, queue_capacity=4,
-                              cache_size=0)
+                              options=EngineOptions(cache_size=0))
         assert eng.close(5)
         fut = eng.submit((0.5, 0.5), k=1)
         with pytest.raises(AdmissionRejected) as err:
@@ -270,7 +276,7 @@ class TestAdmissionControl:
         bc = BrownoutController(min_dwell=0.0, step_down_after=1000)
         with ResilientEngine(
             tree, workers=1, queue_capacity=4, brownout=bc,
-            shed_policy="adaptive-lifo", cache_size=0,
+            shed_policy="adaptive-lifo", options=EngineOptions(cache_size=0),
         ) as eng:
             futs = [eng.submit((0.4, 0.4), k=3) for _ in range(120)]
             wait(futs, timeout=30)
@@ -286,7 +292,10 @@ class TestMetricsIntegration:
     def test_register_metrics_exports_numeric_signals(self, tree):
         registry = MetricsRegistry()
         with ResilientEngine(
-            tree, workers=1, queue_capacity=4, cache_size=0,
+            tree,
+            workers=1,
+            queue_capacity=4,
+            options=EngineOptions(cache_size=0),
             default_budget=Budget(deadline_ms=1e-6),
         ) as eng:
             eng.register_metrics(registry)
@@ -309,7 +318,9 @@ class TestEngineLifecycleSatellites:
     """QueryEngine satellite: draining shutdown, failure accounting."""
 
     def test_shutdown_timeout_drains_and_reports(self, tree):
-        eng = QueryEngine(tree, config=QueryConfig(k=3), workers=2)
+        eng = QueryEngine(
+            tree, config=QueryConfig(k=3), options=EngineOptions(workers=2)
+        )
         results = []
         batcher = threading.Thread(
             target=lambda: results.extend(
@@ -325,7 +336,9 @@ class TestEngineLifecycleSatellites:
         assert eng.shutdown(timeout=1.0)  # idempotent
 
     def test_worker_exception_resolves_future_and_counts(self, tree):
-        eng = QueryEngine(tree, config=QueryConfig(k=3), workers=1)
+        eng = QueryEngine(
+            tree, config=QueryConfig(k=3), options=EngineOptions(workers=1)
+        )
         try:
             with pytest.raises(Exception):
                 # Wrong dimensionality raises inside the serving path.
@@ -335,8 +348,11 @@ class TestEngineLifecycleSatellites:
             eng.close()
 
     def test_truncated_results_never_cached(self, tree):
-        eng = QueryEngine(tree, config=QueryConfig(k=5), workers=1,
-                          cache_size=64)
+        eng = QueryEngine(
+            tree,
+            config=QueryConfig(k=5),
+            options=EngineOptions(workers=1, cache_size=64),
+        )
         try:
             cfg = QueryConfig(k=5, budget=Budget(max_pages=1))
             r1 = eng.query((0.5, 0.5), config=cfg)
@@ -366,8 +382,11 @@ class TestEngineLifecycleSatellites:
             page_file=pages, cache_nodes=4, on_corrupt="skip",
             retry=RetryPolicy(attempts=2, base_delay=0.0001),
         )
-        eng = QueryEngine(disk, config=QueryConfig(k=3), workers=4,
-                          cache_size=0)
+        eng = QueryEngine(
+            disk,
+            config=QueryConfig(k=3),
+            options=EngineOptions(workers=4, cache_size=0),
+        )
         outcomes = []
         stop = threading.Event()
 

@@ -23,6 +23,7 @@ import pytest
 
 from repro.datasets import uniform_points
 from repro.errors import AdmissionRejected
+from repro.service.options import EngineOptions
 from repro.service.resilience import ResilientEngine
 
 from tests.conftest import build_point_tree
@@ -251,7 +252,7 @@ class TestCancelledFutureRace:
             queue_capacity=8,
             shed_policy="expired-drop",
             queue_timeout_ms=2.0,
-            cache_size=0,
+            options=EngineOptions(cache_size=0),
         )
         futs = []
         lock = threading.Lock()

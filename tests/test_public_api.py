@@ -71,3 +71,62 @@ def test_public_functions_have_docstrings():
             if not (obj.__doc__ and obj.__doc__.strip()):
                 undocumented.append(name)
     assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+# ``config=QueryConfig(...)`` says what a query means and
+# ``options=EngineOptions(...)`` how an engine runs; these loose
+# spellings of their fields (and ``run_packed_batch``'s ``vectorize=``)
+# are gone for good.  ``ResilientEngine(workers=)`` sizes its own
+# admission pool and stays.
+_QUERY_SPELLINGS = (
+    "algorithm", "ordering", "pruning", "object_distance_sq", "epsilon",
+)
+_ENGINE_SPELLINGS = (
+    "cache_size", "buffer_pages", "packed", "slow_query_ms", "slow_log",
+)
+RETIRED = {
+    "nearest": _QUERY_SPELLINGS + ("budget",),
+    "NearestNeighborQuery": _QUERY_SPELLINGS,
+    "nearest_batch": (
+        _QUERY_SPELLINGS + ("workers", "cache_size", "buffer_pages", "packed")
+    ),
+    "QueryEngine": ("workers",) + _ENGINE_SPELLINGS,
+    "ResilientEngine": _ENGINE_SPELLINGS,
+    "ShardedQueryEngine": ("workers",) + _ENGINE_SPELLINGS,
+    "run_packed_batch": ("vectorize",),
+}
+RETIRED_CASES = [(name, p) for name, params in RETIRED.items() for p in params]
+
+
+@pytest.mark.parametrize(
+    "name,param", RETIRED_CASES, ids=[f"{n}-{p}" for n, p in RETIRED_CASES]
+)
+def test_the_retired_spellings_stay_retired(name, param):
+    import inspect
+
+    from repro.packed import run_packed_batch
+
+    tree = repro.RTree()
+    tree.insert((0.0, 0.0), payload=0)
+    point = (0.0, 0.0)
+    calls = {
+        "nearest": lambda **kw: repro.nearest(tree, point, **kw),
+        "NearestNeighborQuery": (
+            lambda **kw: repro.NearestNeighborQuery(tree, **kw)
+        ),
+        "nearest_batch": lambda **kw: repro.nearest_batch(tree, [point], **kw),
+        "QueryEngine": lambda **kw: repro.QueryEngine(tree, **kw),
+        "ResilientEngine": lambda **kw: repro.ResilientEngine(tree, **kw),
+        "ShardedQueryEngine": (
+            lambda **kw: repro.ShardedQueryEngine(tree, processes=False, **kw)
+        ),
+        "run_packed_batch": lambda **kw: run_packed_batch(
+            tree.packed(), [point], repro.QueryConfig(), **kw
+        ),
+    }
+    target = run_packed_batch if name == "run_packed_batch" else getattr(
+        repro, name
+    )
+    assert param not in inspect.signature(target).parameters
+    with pytest.raises(TypeError, match=param):
+        calls[name](**{param: 1})
