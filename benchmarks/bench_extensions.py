@@ -1,22 +1,11 @@
 """Timing benchmarks for the query extensions (not paper figures).
 
 Covers the surface the paper's figures don't: within-radius, farthest,
-aggregate NN, joins, L_p search and the disk tree — so a performance
-regression anywhere in the library shows up in ``--benchmark-only`` runs.
+aggregate NN and the disk tree — so a performance regression anywhere
+in the library shows up in ``--benchmark-only`` runs.
 """
 
-import pytest
-
-from repro import (
-    aggregate_nearest,
-    farthest_best_first,
-    intersection_join,
-    knn_join,
-    nearest_dfs_lp,
-    within_distance,
-)
-from repro.bench.harness import build_tree
-from repro.datasets.synthetic import uniform_rects
+from repro.core import aggregate_nearest, farthest_best_first, within_distance
 
 
 def test_within_distance_benchmark(benchmark, uniform_tree):
@@ -35,44 +24,6 @@ def test_aggregate_benchmark(benchmark, uniform_tree):
     group = [(200.0, 200.0), (800.0, 300.0), (500.0, 900.0)]
     neighbors, _ = benchmark(aggregate_nearest, uniform_tree, group, 2, "sum")
     assert len(neighbors) == 2
-
-
-@pytest.mark.parametrize("p", [1.0, float("inf")])
-def test_lp_search_benchmark(benchmark, uniform_tree, p):
-    neighbors, _ = benchmark(
-        nearest_dfs_lp, uniform_tree, (500.0, 500.0), 4, p
-    )
-    assert len(neighbors) == 4
-
-
-@pytest.fixture(scope="module")
-def rect_trees():
-    left = build_tree(
-        [(r, i) for i, r in enumerate(uniform_rects(2000, seed=191))]
-    )
-    right = build_tree(
-        [(r, i) for i, r in enumerate(uniform_rects(2000, seed=192))]
-    )
-    return left, right
-
-
-def test_intersection_join_benchmark(benchmark, rect_trees):
-    left, right = rect_trees
-    pairs = benchmark(lambda: list(intersection_join(left, right)))
-    assert pairs
-
-
-def test_knn_join_benchmark(benchmark, rect_trees):
-    left, right = rect_trees
-
-    def run():
-        small = build_tree(
-            [(r, i) for i, r in enumerate(uniform_rects(200, seed=193))]
-        )
-        return knn_join(small, right, k=2)
-
-    results, _ = benchmark(run)
-    assert len(results) == 200
 
 
 def test_disk_tree_query_benchmark(benchmark, tmp_path_factory):

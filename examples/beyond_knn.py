@@ -14,14 +14,8 @@ Run with::
     python examples/beyond_knn.py
 """
 
-from repro import (
-    QueryConfig,
-    aggregate_nearest,
-    bulk_load,
-    farthest_best_first,
-    nearest,
-    within_distance,
-)
+from repro import QueryConfig, bulk_load, nearest
+from repro.core import aggregate_nearest, farthest_best_first, within_distance
 from repro.datasets import gaussian_clusters
 
 

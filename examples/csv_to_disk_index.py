@@ -18,7 +18,8 @@ import os
 import random
 import tempfile
 
-from repro import nearest, within_distance
+from repro import nearest
+from repro.core import within_distance
 from repro.datasets import load_points_csv
 from repro.rtree.disk import build_disk_index
 

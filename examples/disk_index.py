@@ -21,7 +21,8 @@ import os
 import tempfile
 import warnings
 
-from repro import DiskRTree, bulk_load, nearest, scrub, write_tree
+from repro import DiskRTree, bulk_load, nearest, write_tree
+from repro.rtree import scrub
 from repro.errors import ChecksumError, CorruptionWarning
 from repro.rtree.disk import disk_fanout
 from repro.datasets import uniform_points

@@ -11,7 +11,8 @@ Run with::
     python examples/io_study.py
 """
 
-from repro import LruBufferPool, PageModel, QueryConfig, bulk_load, nearest
+from repro import QueryConfig, bulk_load, nearest
+from repro.storage import LruBufferPool, PageModel
 from repro.datasets import skewed_points
 from repro.datasets.queries import query_points_uniform
 

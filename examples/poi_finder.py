@@ -16,7 +16,8 @@ Run with::
 
 import random
 
-from repro import LruBufferPool, bulk_load, nearest, nearest_incremental
+from repro import bulk_load, nearest, nearest_incremental
+from repro.storage import LruBufferPool
 from repro.datasets import gaussian_clusters
 
 CATEGORIES = ("cafe", "pharmacy", "bookstore", "bakery")

@@ -6,7 +6,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import CountingTracker, QueryConfig, RTree, nearest
+from repro import QueryConfig, RTree, nearest
+from repro.storage import CountingTracker
 
 
 def main() -> None:

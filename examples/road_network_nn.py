@@ -16,7 +16,8 @@ Run with::
     python examples/road_network_nn.py
 """
 
-from repro import CountingTracker, QueryConfig, bulk_load, nearest
+from repro import QueryConfig, bulk_load, nearest
+from repro.storage import CountingTracker
 from repro.datasets import road_segments
 from repro.datasets.queries import query_points_uniform
 

@@ -21,12 +21,12 @@ import threading
 
 from repro import (
     EngineOptions,
-    MetricsRegistry,
     NNServer,
     Rect,
     ServerConfig,
     ShardedQueryEngine,
 )
+from repro.obs import MetricsRegistry
 
 
 def request(port, method, path, payload=None):

@@ -18,10 +18,16 @@ Run with::
     python examples/tracing.py
 """
 
-from repro import EngineOptions, Trace, bulk_load, nearest, render_trace
+from repro import EngineOptions, bulk_load, nearest
 from repro.core.config import QueryConfig
 from repro.datasets import gaussian_clusters
-from repro.obs import MetricsRegistry, build_trace_tree, export_prometheus
+from repro.obs import (
+    MetricsRegistry,
+    Trace,
+    build_trace_tree,
+    export_prometheus,
+    render_trace,
+)
 from repro.service.engine import QueryEngine
 
 

@@ -18,24 +18,20 @@ Quickstart::
     print(result.payloads())        # ['poi-1', 'poi-0']
     print(result.stats.nodes_accessed)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-reproduction of each figure and table in the paper.
+The package root carries the paper's surface (metrics, pruning, the
+searches and their results) plus the engines; every other name is
+imported from its subpackage (``repro.rtree``, ``repro.storage``,
+``repro.obs``, ...).  See DESIGN.md for the system inventory and
+EXPERIMENTS.md for the reproduction of each figure and table in the paper.
 """
 
 from repro.core import (
     NNResult,
     NearestNeighborQuery,
     Neighbor,
-    NeighborBuffer,
     PruningConfig,
-    PruningStats,
     QueryConfig,
     SearchStats,
-    aggregate_nearest,
-    count_within_distance,
-    farthest_best_first,
-    maxdist,
-    maxdist_squared,
     mindist,
     mindist_squared,
     minmaxdist,
@@ -44,205 +40,45 @@ from repro.core import (
     nearest_batch,
     nearest_best_first,
     nearest_dfs,
-    intersection_join,
-    knn_join,
-    lp_distance,
-    mindist_lp,
-    minmaxdist_lp,
-    nearest_dfs_lp,
     nearest_incremental,
-    within_distance,
 )
 from repro.core.budget import Budget
-from repro.errors import (
-    AdmissionRejected,
-    ChecksumError,
-    DeadlineExceeded,
-    CorruptionWarning,
-    DimensionMismatchError,
-    EmptyIndexError,
-    GeometryError,
-    InvalidParameterError,
-    InvalidRectError,
-    PageFileError,
-    ReproError,
-    QuotaExceeded,
-    ShardLostError,
-    TornWriteError,
-    TransientIOError,
-    TreeInvariantError,
-)
+from repro.errors import InvalidParameterError, ReproError
 from repro.geometry import Point, Rect, Segment
-from repro.obs import (
-    Advisor,
-    CaptureLog,
-    MetricsRegistry,
-    QueryRecorder,
-    Recommendation,
-    SlowQueryLog,
-    SlowQueryRecord,
-    SpanContext,
-    SpanLog,
-    SpanSampler,
-    Trace,
-    render_spans,
-    render_trace,
-    replay,
-)
-from repro.packed import (
-    PackedTree,
-    packed_nearest_best_first,
-    packed_nearest_dfs,
-)
-from repro.rtree import (
-    DiskRTree,
-    RTree,
-    ScrubReport,
-    TreeSnapshot,
-    scrub,
-    verify_checksums,
-    write_tree,
-    TreeQuality,
-    measure_quality,
-    bulk_load,
-    load_tree,
-    save_tree,
-    validate_tree,
-)
-from repro.service import (
-    BrownoutController,
-    BrownoutLevel,
-    Engine,
-    EngineOptions,
-    EngineSnapshot,
-    EngineStats,
-    QueryEngine,
-    ResilientEngine,
-    ResultCache,
-    TokenBucket,
-)
+from repro.packed import PackedTree
+from repro.rtree import DiskRTree, RTree, bulk_load, write_tree
+from repro.service import Engine, EngineOptions, QueryEngine, ResilientEngine
 from repro.server import NNServer, ServerConfig
-from repro.shard import ShardedQueryEngine, ShardedStats
-from repro.storage import (
-    AccessTracker,
-    CircuitBreaker,
-    FaultInjectingPageFile,
-    FaultPlan,
-    PageFile,
-    CountingTracker,
-    DiskCostModel,
-    FifoBufferPool,
-    LruBufferPool,
-    NullTracker,
-    PageModel,
-    RetryPolicy,
-    ShardedTracker,
-)
-from repro.baselines import GridIndex, KdTree, QuadTree, linear_scan, linear_scan_items
+from repro.shard import ShardedQueryEngine
+from repro.baselines import linear_scan
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccessTracker",
-    "AdmissionRejected",
     "Budget",
-    "BrownoutController",
-    "BrownoutLevel",
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "QuotaExceeded",
-    "ResilientEngine",
-    "TokenBucket",
-    "CountingTracker",
-    "DiskCostModel",
-    "aggregate_nearest",
-    "count_within_distance",
-    "farthest_best_first",
-    "maxdist",
-    "maxdist_squared",
-    "within_distance",
-    "intersection_join",
-    "knn_join",
-    "lp_distance",
-    "mindist_lp",
-    "minmaxdist_lp",
-    "nearest_dfs_lp",
-    "TreeQuality",
-    "measure_quality",
     "DiskRTree",
-    "write_tree",
-    "PageFile",
-    "PageFileError",
-    "ChecksumError",
-    "CorruptionWarning",
-    "TornWriteError",
-    "TransientIOError",
-    "FaultInjectingPageFile",
-    "FaultPlan",
-    "RetryPolicy",
-    "ScrubReport",
-    "scrub",
-    "verify_checksums",
-    "DimensionMismatchError",
-    "EmptyIndexError",
-    "FifoBufferPool",
-    "GeometryError",
-    "InvalidParameterError",
-    "InvalidRectError",
-    "GridIndex",
-    "KdTree",
-    "QuadTree",
-    "LruBufferPool",
     "Engine",
     "EngineOptions",
-    "EngineSnapshot",
-    "EngineStats",
-    "ShardedQueryEngine",
-    "ShardedStats",
-    "ShardLostError",
-    "Advisor",
-    "CaptureLog",
-    "MetricsRegistry",
-    "QueryRecorder",
-    "Recommendation",
-    "SlowQueryLog",
-    "SlowQueryRecord",
-    "SpanContext",
-    "SpanLog",
-    "SpanSampler",
-    "Trace",
-    "render_spans",
-    "render_trace",
-    "replay",
+    "InvalidParameterError",
     "NNResult",
     "NNServer",
-    "ServerConfig",
     "NearestNeighborQuery",
     "Neighbor",
-    "NeighborBuffer",
-    "NullTracker",
-    "PageModel",
+    "PackedTree",
     "Point",
     "PruningConfig",
-    "PruningStats",
     "QueryConfig",
     "QueryEngine",
-    "ResultCache",
     "RTree",
-    "PackedTree",
-    "packed_nearest_dfs",
-    "packed_nearest_best_first",
-    "ShardedTracker",
-    "TreeSnapshot",
     "Rect",
     "ReproError",
+    "ResilientEngine",
     "SearchStats",
     "Segment",
-    "TreeInvariantError",
+    "ServerConfig",
+    "ShardedQueryEngine",
     "bulk_load",
     "linear_scan",
-    "linear_scan_items",
-    "load_tree",
     "mindist",
     "mindist_squared",
     "minmaxdist",
@@ -252,7 +88,6 @@ __all__ = [
     "nearest_best_first",
     "nearest_dfs",
     "nearest_incremental",
-    "save_tree",
-    "validate_tree",
+    "write_tree",
     "__version__",
 ]

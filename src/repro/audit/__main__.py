@@ -19,11 +19,16 @@ from typing import List, Optional
 from repro.audit.runner import AuditConfig, run_audit
 from repro.audit.workloads import DISTRIBUTIONS
 
-__all__ = ["main", "add_audit_arguments", "run_from_args"]
+__all__ = ["main"]
 
 
-def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the audit flags (shared with ``repro.bench audit``)."""
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.audit",
+        description="Differential correctness audit: every k-NN algorithm "
+        "and backend, diffed against the exhaustive oracle, with pruning "
+        "soundness certification and metamorphic checks.",
+    )
     parser.add_argument(
         "--seed", type=int, default=1995,
         help="workload derivation seed (default: 1995)",
@@ -54,10 +59,7 @@ def add_audit_arguments(parser: argparse.ArgumentParser) -> None:
         help="plant an unsound prune (test-only hook), verify the audit "
         "catches and shrinks it, then restore; exits 0 iff caught",
     )
-
-
-def run_from_args(args: argparse.Namespace) -> int:
-    """Execute an audit described by parsed arguments; returns exit code."""
+    args = parser.parse_args(argv)
     distributions = (
         DISTRIBUTIONS
         if args.distribution == "both"
@@ -140,17 +142,6 @@ def _write_json(report, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.audit",
-        description="Differential correctness audit: every k-NN algorithm "
-        "and backend, diffed against the exhaustive oracle, with pruning "
-        "soundness certification and metamorphic checks.",
-    )
-    add_audit_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

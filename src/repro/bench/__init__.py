@@ -12,7 +12,6 @@ The pytest-benchmark files under ``benchmarks/`` wrap the same definitions
 so ``pytest benchmarks/ --benchmark-only`` exercises every experiment.
 """
 
-from repro.bench.plots import ascii_plot, plot_table
 from repro.bench.report import generate_report
 from repro.bench.tables import Table
 from repro.bench.harness import (
@@ -28,8 +27,6 @@ __all__ = [
     "EXPERIMENTS",
     "Scale",
     "Table",
-    "ascii_plot",
-    "plot_table",
     "build_tree",
     "default_page_model",
     "generate_report",

@@ -3,8 +3,10 @@
 Subcommands:
 
 - ``list`` — show every registered experiment with its paper reference.
-- ``run <id>|all [--scale quick|default|full] [--markdown] [-o FILE]`` —
-  execute experiments and print their tables.
+- ``run <id>|all [--scale quick|default|full] [--markdown|--csv|--json]
+  [-o FILE]`` — execute experiments and print their tables.
+- ``report [--scale S] [--only ID ...] [-o FILE]`` — run experiments
+  into one markdown report.
 - ``scrub <file> [--page-size N]`` — verify a disk index's page
   checksums and structural invariants; exit 1 if damage is found.
 - ``engine [--workers N] [--queries N] ...`` — drive the serving layer
@@ -12,10 +14,9 @@ Subcommands:
   compare against a sequential ``nearest`` loop and print the engine's
   latency/cache statistics; with ``--expect-hits``, exit 1 unless the
   result cache absorbed at least one query (the CI throughput smoke).
-- ``audit [--cases N] [--seed S] [--shrink] ...`` — the differential
-  correctness audit (same flags as ``python -m repro.audit``): replay
-  seeded workloads through every algorithm and backend, certify the
-  pruning invariants, and exit 1 on any diff.
+
+The differential correctness audit has its own CLI,
+``python -m repro.audit``.
 """
 
 from __future__ import annotations
@@ -59,31 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None, help="file to write the report to"
     )
 
-    viz = sub.add_parser(
-        "viz", help="render a sample R-tree (and a query) as an SVG file"
-    )
-    viz.add_argument("svg_path", help="SVG file to write")
-    viz.add_argument("--n", type=int, default=400, help="number of points")
-    viz.add_argument(
-        "--dataset",
-        default="clustered",
-        choices=["uniform", "clustered", "skewed"],
-        help="point distribution",
-    )
-    viz.add_argument(
-        "--split",
-        default="quadratic",
-        choices=["linear", "quadratic", "rstar"],
-        help="split strategy for the dynamic build",
-    )
-    viz.add_argument("--seed", type=int, default=0, help="dataset seed")
-    viz.add_argument("--k", type=int, default=5, help="neighbors to mark")
-
     scrub = sub.add_parser(
         "scrub",
         help="audit a disk R-tree file: checksums + structural invariants",
     )
-    scrub.add_argument("file", help="path to an RNN1/RNN2 index file")
+    scrub.add_argument("file", help="path to an RNN2 index file")
     scrub.add_argument(
         "--page-size",
         type=int,
@@ -139,15 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless the result cache served at least one query",
     )
 
-    audit = sub.add_parser(
-        "audit",
-        help="differential correctness audit "
-        "(alias for python -m repro.audit)",
-    )
-    from repro.audit.__main__ import add_audit_arguments
-
-    add_audit_arguments(audit)
-
     run = sub.add_parser("run", help="run one experiment or 'all'")
     run.add_argument("experiment", help="experiment id (E1..E14) or 'all'")
     run.add_argument(
@@ -170,11 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit one JSON document (committed perf baselines use this)",
-    )
-    run.add_argument(
-        "--plot",
-        action="store_true",
-        help="append an ASCII line chart under each table",
     )
     run.add_argument(
         "-o",
@@ -211,14 +178,6 @@ def _run_command(args: argparse.Namespace) -> str:
                 blocks.append(table.to_markdown())
             else:
                 blocks.append(table.render())
-            if args.plot:
-                from repro.bench.plots import plot_table
-                from repro.errors import InvalidParameterError
-
-                try:
-                    blocks.append(plot_table(table))
-                except InvalidParameterError:
-                    pass  # tables without numeric series are just printed
         blocks.append(f"[{experiment.id} completed in {elapsed:.1f}s]")
         blocks.append("")
     return "\n\n".join(blocks)
@@ -267,35 +226,6 @@ def _run_json(experiments: list, scale) -> str:
             }
         )
     return json.dumps(document, indent=2)
-
-
-def _viz_command(args: argparse.Namespace) -> str:
-    from repro.core.query import nearest
-    from repro.datasets.synthetic import (
-        gaussian_clusters,
-        skewed_points,
-        uniform_points,
-    )
-    from repro.rtree.svg import save_svg
-    from repro.rtree.tree import RTree
-
-    generators = {
-        "uniform": uniform_points,
-        "clustered": gaussian_clusters,
-        "skewed": skewed_points,
-    }
-    points = generators[args.dataset](args.n, seed=args.seed)
-    tree = RTree(max_entries=8, split=args.split)
-    for i, point in enumerate(points):
-        tree.insert(point, payload=i)
-    query = (500.0, 500.0)
-    result = nearest(tree, query, k=args.k)
-    save_svg(tree, args.svg_path, query=query, neighbors=result)
-    return (
-        f"Wrote {args.svg_path}: {len(tree)} {args.dataset} points, "
-        f"{tree.node_count} nodes ({args.split} split), query at {query} "
-        f"with its {len(result)} nearest marked."
-    )
 
 
 def _list_command() -> str:
@@ -381,16 +311,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     code = 0
     if args.command == "list":
         output = _list_command()
-    elif args.command == "viz":
-        output = _viz_command(args)
     elif args.command == "scrub":
         output, code = _scrub_command(args)
     elif args.command == "engine":
         output, code = _engine_command(args)
-    elif args.command == "audit":
-        from repro.audit.__main__ import run_from_args
-
-        return run_from_args(args)
     elif args.command == "report":
         from repro.bench.report import generate_report
 

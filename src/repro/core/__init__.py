@@ -19,12 +19,6 @@ Contents map one-to-one onto the sections of Roussopoulos, Kelley & Vincent
 - :mod:`repro.core.query` — the user-facing façade.
 """
 
-from repro.core.metrics_lp import (
-    lp_distance,
-    mindist_lp,
-    minmaxdist_lp,
-    nearest_dfs_lp,
-)
 from repro.core.metrics import (
     maxdist,
     maxdist_squared,
@@ -43,7 +37,6 @@ from repro.core.range_query import count_within_distance, within_distance
 from repro.core.farthest import farthest_best_first
 from repro.core.aggregate import aggregate_nearest
 from repro.core.batch import nearest_batch
-from repro.core.joins import intersection_join, knn_join
 from repro.core.query import NearestNeighborQuery, NNResult, nearest
 
 __all__ = [
@@ -58,12 +51,6 @@ __all__ = [
     "aggregate_nearest",
     "count_within_distance",
     "farthest_best_first",
-    "intersection_join",
-    "knn_join",
-    "lp_distance",
-    "mindist_lp",
-    "minmaxdist_lp",
-    "nearest_dfs_lp",
     "maxdist",
     "maxdist_squared",
     "mindist",

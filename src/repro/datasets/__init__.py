@@ -14,12 +14,6 @@ from repro.datasets.synthetic import (
     uniform_rects,
 )
 from repro.datasets.roads import RoadNetworkConfig, road_segments
-from repro.datasets.analysis import (
-    PointSetSummary,
-    SegmentSetSummary,
-    describe_points,
-    describe_segments,
-)
 from repro.datasets.io import load_points_csv, load_segments_csv
 from repro.datasets.queries import (
     query_points_clustered_sessions,
@@ -28,11 +22,7 @@ from repro.datasets.queries import (
 )
 
 __all__ = [
-    "PointSetSummary",
     "RoadNetworkConfig",
-    "SegmentSetSummary",
-    "describe_points",
-    "describe_segments",
     "gaussian_clusters",
     "load_points_csv",
     "load_segments_csv",

@@ -26,10 +26,6 @@ Three layers, all opt-in and zero-cost when unused:
   streams with answer digests at the engine boundary
   (:class:`QueryRecorder`), replay them against any backend and assert
   digest-identical answers (:func:`replay`).
-- :mod:`repro.obs.advisor` — windowed registry readings turned into
-  structured operational advice (:class:`Advisor`): re-pack /
-  re-bulk-load on pages/query drift, shard rebalance on page skew,
-  cache tuning hints.
 
 ``python -m repro.obs trace`` renders a live query trace;
 ``python -m repro.obs top`` summarizes a dumped slow-query log;
@@ -78,10 +74,8 @@ from repro.obs.replay import (
     digest_result,
     replay,
 )
-from repro.obs.advisor import Advisor, Recommendation
 
 __all__ = [
-    "Advisor",
     "CaptureLog",
     "CapturedQuery",
     "Counter",
@@ -89,7 +83,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "QueryRecorder",
-    "Recommendation",
     "ReplayReport",
     "SlowQueryLog",
     "SlowQueryRecord",

@@ -10,7 +10,7 @@ It provides:
 - window (range) and containment queries,
 - Sort-Tile-Recursive bulk loading (:func:`bulk_load`),
 - a structural invariant validator used heavily by the test suite,
-- JSON persistence.
+- a checksummed page-file format (:func:`write_tree`, :class:`DiskRTree`).
 """
 
 from repro.rtree.entry import Entry
@@ -21,8 +21,6 @@ from repro.rtree.disk import DiskRTree, build_disk_index, disk_fanout, write_tre
 from repro.rtree.scrub import ScrubIssue, ScrubReport, scrub, verify_checksums
 from repro.rtree.validate import validate_tree
 from repro.rtree.quality import LevelQuality, TreeQuality, measure_quality
-from repro.rtree.serialize import tree_from_dict, tree_to_dict, load_tree, save_tree
-from repro.rtree.svg import save_svg, tree_to_svg
 from repro.rtree.splits import (
     LinearSplit,
     QuadraticSplit,
@@ -52,12 +50,6 @@ __all__ = [
     "scrub",
     "verify_checksums",
     "bulk_load",
-    "load_tree",
     "resolve_split_strategy",
-    "save_svg",
-    "save_tree",
-    "tree_to_svg",
-    "tree_from_dict",
-    "tree_to_dict",
     "validate_tree",
 ]

@@ -14,18 +14,19 @@ standard contract.  Use ``enumerate`` over your objects when indexing.
 
 Binary layout (little-endian):
 
-- page 0 — header: magic ``RNN1`` or ``RNN2``, page size, root page, node
-  count, item count, dimension, height, fanout, min fill;
+- page 0 — header: magic ``RNN2``, page size, root page, node count,
+  item count, dimension, height, fanout, min fill;
 - one page per node: ``level:u16, entry_count:u16``, then per entry
   ``lo[dim]:f64, hi[dim]:f64, ref:u64`` where ``ref`` is a child page id
-  (internal) or the payload id (leaf).
+  (internal) or the payload id (leaf);
+- every page, header included, ends in a CRC32 of its first
+  ``page_size - 4`` bytes, verified on every read.
 
-Format v2 (``RNN2``, the default for new files) additionally stores a
-CRC32 of each page's first ``page_size - 4`` bytes in the page's last 4
-bytes, verified on every read; v1 (``RNN1``) files remain fully readable.
-Writes are atomic: the tree is written to a temp file, fsynced, and
-renamed over the target, so an interrupted :func:`write_tree` never
-leaves a half-written index at the destination path.
+There is one format: a file with any other magic is refused with
+:class:`~repro.errors.PageFileError`.  Writes are atomic: the tree is
+written to a temp file, fsynced, and renamed over the target, so an
+interrupted :func:`write_tree` never leaves a half-written index at the
+destination path.
 
 Failure handling knobs on :class:`DiskRTree`:
 
@@ -71,17 +72,12 @@ __all__ = [
     "build_disk_index",
     "disk_fanout",
     "write_tree",
-    "DEFAULT_FORMAT_VERSION",
 ]
 
-_MAGIC_V1 = b"RNN1"
-_MAGIC_V2 = b"RNN2"
+_MAGIC = b"RNN2"
 _HEADER = struct.Struct("<4sIIIQHHHH")
 _NODE_HEADER = struct.Struct("<HH")
 _CRC = struct.Struct("<I")
-
-#: Format version :func:`write_tree` produces unless told otherwise.
-DEFAULT_FORMAT_VERSION = 2
 
 _DEFAULT_CACHE_NODES = 64
 
@@ -94,33 +90,19 @@ def _entry_struct(dimension: int) -> struct.Struct:
     return struct.Struct(f"<{2 * dimension}dQ")
 
 
-def _check_version(format_version: int) -> None:
-    if format_version not in (1, 2):
-        raise InvalidParameterError(
-            f"format_version must be 1 or 2, got {format_version}"
-        )
-
-
-def _payload_size(page_size: int, format_version: int) -> int:
-    """Bytes per page available to node data (v2 reserves a CRC trailer)."""
-    return page_size - _CRC.size if format_version == 2 else page_size
-
-
-def _node_capacity(
-    page_size: int, dimension: int, format_version: int = DEFAULT_FORMAT_VERSION
-) -> int:
-    usable = _payload_size(page_size, format_version) - _NODE_HEADER.size
+def _node_capacity(page_size: int, dimension: int) -> int:
+    usable = page_size - _CRC.size - _NODE_HEADER.size
     return usable // _entry_struct(dimension).size
 
 
 def _seal_page(payload: bytes, page_size: int) -> bytes:
-    """Pad *payload* and append the v2 CRC32 trailer."""
+    """Pad *payload* and append the CRC32 trailer."""
     body = payload.ljust(page_size - _CRC.size, b"\x00")
     return body + _CRC.pack(zlib.crc32(body))
 
 
 def _verify_page(raw: bytes, page_id: int, path: str) -> bytes:
-    """Check a v2 page's CRC trailer; return the payload bytes."""
+    """Check a page's CRC trailer; return the payload bytes."""
     body, trailer = raw[: -_CRC.size], raw[-_CRC.size :]
     (stored,) = _CRC.unpack(trailer)
     actual = zlib.crc32(body)
@@ -133,21 +115,16 @@ def _verify_page(raw: bytes, page_id: int, path: str) -> bytes:
     return body
 
 
-def disk_fanout(
-    page_size: int = 4096,
-    dimension: int = 2,
-    format_version: int = DEFAULT_FORMAT_VERSION,
-) -> int:
+def disk_fanout(page_size: int = 4096, dimension: int = 2) -> int:
     """Largest tree fanout that fits one node into one disk page.
 
     Build the tree you intend to persist with
     ``max_entries=disk_fanout(page_size, dim)`` so pages are used fully.
     (This differs from :class:`repro.storage.pager.PageModel`, which models
     the paper's 4-byte-pointer layout; the on-disk format stores 8-byte
-    refs, a 4-byte node header, and — in v2 — a 4-byte page checksum.)
+    refs, a 4-byte node header, and a 4-byte page checksum.)
     """
-    _check_version(format_version)
-    capacity = _node_capacity(page_size, dimension, format_version)
+    capacity = _node_capacity(page_size, dimension)
     if capacity < 2:
         raise InvalidParameterError(
             f"page_size {page_size} cannot hold 2 entries of dimension "
@@ -174,7 +151,6 @@ def write_tree(
     tree: RTree,
     path: Union[str, "object"],
     page_size: int = 4096,
-    format_version: int = DEFAULT_FORMAT_VERSION,
     page_file_factory=PageFile,
 ) -> None:
     """Serialize *tree* to *path*, one node per *page_size*-byte page.
@@ -191,8 +167,6 @@ def write_tree(
             non-negative ints below 2**64).
         path: Destination file path.
         page_size: Page size in bytes.
-        format_version: ``2`` (default) writes ``RNN2`` with per-page
-            CRC32 checksums; ``1`` writes the legacy ``RNN1`` layout.
         page_file_factory: Factory used to open the temp page file —
             the fault-injection seam
             (:class:`~repro.storage.faults.FaultInjectingPageFile`).
@@ -200,26 +174,19 @@ def write_tree(
     Raises :class:`InvalidParameterError` if the tree is empty, a payload
     is not an int, or a node cannot fit in a page of the given size.
     """
-    _check_version(format_version)
     if len(tree) == 0:
         raise InvalidParameterError("refusing to write an empty tree")
     dimension = tree.dimension
-    capacity = _node_capacity(page_size, dimension, format_version)
+    capacity = _node_capacity(page_size, dimension)
     if tree.max_entries > capacity:
         raise InvalidParameterError(
             f"fanout {tree.max_entries} does not fit a {page_size}-byte page "
-            f"({capacity} entries max for dimension {dimension}, "
-            f"format v{format_version})"
+            f"({capacity} entries max for dimension {dimension})"
         )
     entry_struct = _entry_struct(dimension)
-    checksummed = format_version == 2
-    magic = _MAGIC_V2 if checksummed else _MAGIC_V1
 
     path = os.fspath(path)
     tmp_path = f"{path}.tmp-{os.getpid()}-{next(_tmp_counter)}"
-
-    def seal(payload: bytes) -> bytes:
-        return _seal_page(payload, page_size) if checksummed else payload
 
     try:
         with page_file_factory(tmp_path, page_size=page_size, create=True) as pages:
@@ -248,13 +215,13 @@ def write_tree(
                         *entry.rect.lo, *entry.rect.hi, ref
                     )
                 page_id = pages.allocate()
-                pages.write_page(page_id, seal(bytes(blob)))
+                pages.write_page(page_id, _seal_page(bytes(blob), page_size))
                 node_count += 1
                 return page_id
 
             root_page = persist(tree.root)
             header = _HEADER.pack(
-                magic,
+                _MAGIC,
                 page_size,
                 root_page,
                 node_count,
@@ -264,7 +231,7 @@ def write_tree(
                 tree.max_entries,
                 tree.min_entries,
             )
-            pages.write_page(0, seal(header))
+            pages.write_page(0, _seal_page(header, page_size))
             pages.sync()
         os.replace(tmp_path, path)
         _fsync_dir(os.path.dirname(path))
@@ -335,7 +302,7 @@ class DiskRTree:
     """Read-only R-tree view over a page file written by :func:`write_tree`.
 
     Args:
-        path: The page file (``RNN1`` or ``RNN2``).
+        path: The page file (``RNN2``).
         page_size: Must match the file's (validated against the header).
         cache_nodes: Capacity of the internal decoded-node LRU cache; reads
             absorbed by the cache don't touch the file.  ``file_reads``
@@ -423,19 +390,14 @@ class DiskRTree:
                 )
             except struct.error as exc:
                 raise PageFileError(f"corrupt header in {path!r}") from exc
-            if magic == _MAGIC_V2:
-                self.format_version = 2
-            elif magic == _MAGIC_V1:
-                self.format_version = 1
-            else:
+            if magic != _MAGIC:
                 raise PageFileError(f"{path!r} is not a disk R-tree file")
             if stored_page_size != page_size:
                 raise PageFileError(
                     f"{path!r} was written with page_size={stored_page_size}, "
                     f"opened with {page_size}; reopen with the stored size"
                 )
-            if self.format_version == 2:
-                _verify_page(raw, 0, self._pages.path)
+            _verify_page(raw, 0, self._pages.path)
         except BaseException:
             self._pages.close()
             raise
@@ -446,9 +408,7 @@ class DiskRTree:
         self.max_entries = max_entries
         self.min_entries = min_entries
         self._entry_struct = _entry_struct(dimension)
-        self._capacity = _node_capacity(
-            page_size, dimension, self.format_version
-        )
+        self._capacity = _node_capacity(page_size, dimension)
         self._cache: "OrderedDict[int, List[Entry]]" = OrderedDict()
         self._cache_capacity = cache_nodes
         # Serializes page reads and decoded-node cache updates so that
@@ -545,8 +505,7 @@ class DiskRTree:
     def _decode_node(self, raw: bytes, node: "_DiskNode") -> List[Entry]:
         """Decode one node page, validating checksum and structure."""
         page_id = node.node_id
-        if self.format_version == 2:
-            raw = _verify_page(raw, page_id, self._pages.path)
+        raw = _verify_page(raw, page_id, self._pages.path)
         try:
             level, count = _NODE_HEADER.unpack_from(raw, 0)
         except struct.error as exc:
@@ -647,6 +606,5 @@ class DiskRTree:
     def __repr__(self) -> str:
         return (
             f"DiskRTree(size={self._size}, height={self.height}, "
-            f"nodes={self.node_count}, v{self.format_version}, "
-            f"file={self._pages.path!r})"
+            f"nodes={self.node_count}, file={self._pages.path!r})"
         )

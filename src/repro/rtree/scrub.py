@@ -1,7 +1,7 @@
 """Offline integrity audit for disk R-tree files.
 
-:func:`scrub` walks every page of an ``RNN1``/``RNN2`` file, verifies
-page checksums (v2) and the tree's structural invariants (via the same
+:func:`scrub` walks every page of an ``RNN2`` file, verifies page
+checksums and the tree's structural invariants (via the same
 validator the test suite uses), and returns a :class:`ScrubReport` whose
 :meth:`~ScrubReport.render` is a human-readable damage report.  It is the
 tool to reach for after a crash, a suspicious query result, or a restore
@@ -83,17 +83,11 @@ class ScrubReport:
             f"{self.page_count} pages "
             f"({self.node_count} nodes, {self.item_count} items)",
         ]
-        if self.format_version == 1:
-            lines.append(
-                "  checksums : n/a (v1 has none; rewrite with "
-                "write_tree to upgrade)"
-            )
-        else:
-            bad = self.checksum_failures
-            lines.append(
-                f"  checksums : {len(bad)} bad page(s)"
-                + (f": {sorted(set(bad))}" if bad else "")
-            )
+        bad = self.checksum_failures
+        lines.append(
+            f"  checksums : {len(bad)} bad page(s)"
+            + (f": {sorted(set(bad))}" if bad else "")
+        )
         others = [i for i in self.issues if i.kind != "checksum"]
         if others:
             lines.append("  problems  :")
@@ -109,17 +103,15 @@ class ScrubReport:
 def verify_checksums(
     path: Union[str, "object"], page_size: int = 4096
 ) -> List[int]:
-    """Return the ids of all pages whose v2 CRC32 fails (v1: always []).
+    """Return the ids of all pages whose CRC32 trailer fails.
 
     The cheap half of :func:`scrub`: a single sequential sweep with no
     tree decoding, usable in a tight loop (the corruption-matrix tests
-    call it for every possible byte flip).
+    call it for every possible byte flip).  The header page is checked
+    like any other, so a damaged magic shows up as page 0.
     """
     bad: List[int] = []
     with PageFile(path, page_size=page_size, create=False) as pages:
-        magic = pages.read_page(0)[:4]
-        if magic != _disk._MAGIC_V2:
-            return bad
         for page_id in range(pages.page_count):
             raw = pages.read_page(page_id)
             try:
@@ -147,7 +139,7 @@ def scrub(path: Union[str, "object"], page_size: int = 4096) -> ScrubReport:
     another:
 
     1. header — magic, page-size agreement, header checksum;
-    2. checksum sweep — every page's CRC32 trailer (v2 only);
+    2. checksum sweep — every page's CRC32 trailer;
     3. structure — full traversal from the root re-checking the R-tree
        invariants (:func:`repro.rtree.validate.validate_tree`): levels,
        fill factors, exact parent MBRs, payload/child discipline, sizes.
@@ -164,11 +156,8 @@ def scrub(path: Union[str, "object"], page_size: int = 4096) -> ScrubReport:
             page_count=pages.page_count,
         )
         raw = pages.read_page(0)
-        magic = raw[:4]
-        if magic == _disk._MAGIC_V2:
+        if raw[:4] == _disk._MAGIC:
             report.format_version = 2
-        elif magic == _disk._MAGIC_V1:
-            report.format_version = 1
         else:
             report.issues.append(
                 ScrubIssue(-1, "header", "not a disk R-tree file (bad magic)")
@@ -188,15 +177,14 @@ def scrub(path: Union[str, "object"], page_size: int = 4096) -> ScrubReport:
                 )
             )
             return report
-        if report.format_version == 2:
-            for page_id in range(pages.page_count):
-                page_raw = raw if page_id == 0 else pages.read_page(page_id)
-                try:
-                    _disk._verify_page(page_raw, page_id, pages.path)
-                except ChecksumError as exc:
-                    report.issues.append(
-                        ScrubIssue(page_id, "checksum", str(exc))
-                    )
+        for page_id in range(pages.page_count):
+            page_raw = raw if page_id == 0 else pages.read_page(page_id)
+            try:
+                _disk._verify_page(page_raw, page_id, pages.path)
+            except ChecksumError as exc:
+                report.issues.append(
+                    ScrubIssue(page_id, "checksum", str(exc))
+                )
 
     # Structural pass: open through the normal reader so decoding rules
     # are identical to production, but never retry (the file is local)

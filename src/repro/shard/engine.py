@@ -537,7 +537,7 @@ class ShardedQueryEngine:
         self._degraded = 0
         self._pages_total = 0
         # Per-shard cumulative request/page counters (under _stats_lock)
-        # — the /stats per-shard gauges and the advisor's balance signal.
+        # — the /stats per-shard gauges.
         self._shard_requests: List[int] = []
         self._shard_pages: List[int] = []
         source = tree.items() if tree is not None else items
@@ -887,10 +887,10 @@ class ShardedQueryEngine:
     def shard_metrics(self) -> Dict[str, Any]:
         """Per-shard gauges, flat (``shard0.pages``-style keys).
 
-        The load-balance surface behind the front door's ``/stats`` and
-        the advisor's rebalance signal: cumulative requests and logical
-        pages served per shard, current item count, pipe queue depth
-        (in-flight requests awaiting a reply) and liveness.
+        The load-balance surface behind the front door's ``/stats``:
+        cumulative requests and logical pages served per shard, current
+        item count, pipe queue depth (in-flight requests awaiting a
+        reply) and liveness.
         """
         with self._stats_lock:
             requests = list(self._shard_requests)

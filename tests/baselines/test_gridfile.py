@@ -4,7 +4,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Rect, linear_scan_items
+from repro import Rect
+from repro.baselines import linear_scan_items
 from repro.baselines.gridfile import GridIndex
 from repro.datasets import gaussian_clusters, uniform_points
 from repro.errors import DimensionMismatchError, InvalidParameterError

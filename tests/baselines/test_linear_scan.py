@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import RTree, Rect, linear_scan, linear_scan_items
+from repro import RTree, Rect, linear_scan
+from repro.baselines import linear_scan_items
 from repro.errors import InvalidParameterError
 
 

@@ -38,23 +38,6 @@ class TestRun:
         assert target.exists()
         assert "E2" in target.read_text()
 
-    def test_viz_writes_svg(self, tmp_path, capsys):
-        target = tmp_path / "demo.svg"
-        assert main(["viz", str(target), "--n", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "Wrote" in out
-        content = target.read_text()
-        assert content.startswith("<svg")
-        import xml.etree.ElementTree as ET
-
-        ET.fromstring(content)
-
-    def test_run_plot(self, capsys):
-        assert main(["run", "E2", "--scale", "quick", "--plot"]) == 0
-        out = capsys.readouterr().out
-        assert "DFS pages" in out
-        assert " |" in out  # chart gutter
-
     def test_unknown_experiment_raises(self):
         from repro.errors import InvalidParameterError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import LruBufferPool, CountingTracker
+from repro.storage import CountingTracker, LruBufferPool
 from repro.bench.harness import (
     build_tree,
     default_page_model,

@@ -4,7 +4,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro import RTree, CountingTracker
+from repro import RTree
+from repro.storage import CountingTracker
 from repro.core.farthest import farthest_best_first
 from repro.core.metrics import maxdist_squared
 from repro.errors import DimensionMismatchError, InvalidParameterError

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import CountingTracker, RTree, linear_scan
+from repro import RTree, linear_scan
+from repro.storage import CountingTracker
 from repro.core.knn_best_first import nearest_best_first, nearest_incremental
 from repro.core.knn_dfs import nearest_dfs
 from repro.core.stats import SearchStats

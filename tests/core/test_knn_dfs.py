@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro import (
-    CountingTracker,
-    PruningConfig,
-    RTree,
-    Rect,
-    Segment,
-    linear_scan,
-)
+from repro import PruningConfig, RTree, Rect, Segment, linear_scan
+from repro.storage import CountingTracker
 from repro.core.knn_dfs import nearest_dfs
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from tests.conftest import assert_same_distances

@@ -4,7 +4,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro import RTree, CountingTracker, within_distance, count_within_distance
+from repro import RTree
+from repro.core import count_within_distance, within_distance
+from repro.storage import CountingTracker
 from repro.core.stats import SearchStats
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.point import euclidean

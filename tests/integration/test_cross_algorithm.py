@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import KdTree, bulk_load, linear_scan
+from repro import bulk_load, linear_scan
+from repro.baselines import KdTree
 from repro.core.knn_best_first import nearest_best_first, nearest_incremental
 from repro.core.knn_dfs import nearest_dfs
 from repro.datasets import gaussian_clusters, skewed_points, uniform_points

@@ -118,6 +118,21 @@ def test_the_retired_shard_fork_stays_retired():
             )
 
 
+def _code_and_prose():
+    """Every file that ships code, examples or instructions to a reader."""
+    files = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    files += sorted((ROOT / "docs").glob("*.md"))
+    files += [ROOT / "README.md", ROOT / "DESIGN.md"]
+    files += sorted((ROOT / "examples").glob("*.py"))
+    files += sorted((ROOT / "benchmarks").glob("*.py"))
+    files += [
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]
+    assert len(files) > 100
+    return files
+
+
 def test_the_retired_config_spellings_stay_retired():
     """``config=`` and ``options=`` are the only configuration surface:
     the merge helpers of the loose keyword spellings must not reappear in
@@ -129,16 +144,51 @@ def test_the_retired_config_spellings_stay_retired():
         "**legacy",
         "Migrating to QueryConfig",
     )
-    files = sorted((ROOT / "src" / "repro").rglob("*.py"))
-    files += sorted((ROOT / "docs").glob("*.md"))
-    files += [ROOT / "README.md"]
-    files += sorted((ROOT / "examples").glob("*.py"))
-    files += sorted((ROOT / "benchmarks").glob("*.py"))
-    assert len(files) > 100
-    for path in files:
+    for path in _code_and_prose():
         text = path.read_text()
         for name in retired:
             assert name not in text, (
                 f"{path.relative_to(ROOT)} mentions {name}: pass "
                 f"config=QueryConfig(...) / options=EngineOptions(...)"
             )
+
+
+def test_the_deleted_capabilities_stay_deleted():
+    """The L_p search, joins, dataset summaries, JSON persistence, the
+    advisor, the two renderers, the checksum-free disk format and the
+    ``bench audit`` alias are gone; nothing may name them again."""
+    retired = (
+        "metrics_lp", "nearest_dfs_lp", "knn_join", "intersection_join",
+        "describe_points", "save_tree", "load_tree", "Advisor", "save_svg",
+        "plot_table", "format_version=1", "RNN1", "repro.bench audit",
+        "bench viz",
+    )
+    for path in _code_and_prose():
+        text = path.read_text()
+        for name in retired:
+            assert name not in text, (
+                f"{path.relative_to(ROOT)} mentions {name}, which was deleted"
+            )
+
+
+def test_documented_bench_subcommands_exist():
+    import argparse
+
+    from repro.bench.cli import _build_parser
+
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    pattern = re.compile(
+        r"(?:python3? -m repro\.bench|repro-bench)[ \t]+([a-z][\w-]*)"
+    )
+    named = 0
+    for path in _code_and_prose():
+        for sub in pattern.findall(path.read_text()):
+            named += 1
+            assert sub in subparsers.choices, (
+                f"{path.relative_to(ROOT)} names `repro.bench {sub}`, "
+                f"which is not a subcommand"
+            )
+    assert named > 5

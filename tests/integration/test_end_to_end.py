@@ -3,17 +3,15 @@
 import pytest
 
 from repro import (
-    CountingTracker,
-    LruBufferPool,
-    PageModel,
     QueryConfig,
     RTree,
     bulk_load,
     linear_scan,
     nearest,
     nearest_incremental,
-    validate_tree,
 )
+from repro.rtree import validate_tree
+from repro.storage import CountingTracker, LruBufferPool, PageModel
 from repro.bench.experiments import segment_distance_sq
 from repro.datasets import (
     gaussian_clusters,

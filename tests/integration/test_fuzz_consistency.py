@@ -10,16 +10,11 @@ import random
 
 import pytest
 
-from repro import (
-    QueryConfig,
-    RTree,
-    linear_scan,
-    nearest,
-    validate_tree,
-    within_distance,
-)
+from repro import QueryConfig, RTree, linear_scan, nearest
 from repro.core.aggregate import aggregate_nearest
 from repro.core.farthest import farthest_best_first
+from repro.core.range_query import within_distance
+from repro.rtree.validate import validate_tree
 from repro.geometry.point import euclidean
 from tests.conftest import assert_same_distances
 
@@ -89,27 +84,6 @@ def _checkpoint(tree, live, rng):
         sum(euclidean(g, p) for g in group) for p in live.values()
     )
     assert agg[0].distance == pytest.approx(true_best, rel=1e-9, abs=1e-6)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_serialize_fuzz_roundtrip(seed, tmp_path):
-    from repro import load_tree, save_tree
-
-    rng = random.Random(seed)
-    tree = RTree(max_entries=5)
-    for i in range(rng.randint(1, 300)):
-        tree.insert(
-            (rng.uniform(0, 50), rng.uniform(0, 50)), payload=i
-        )
-    path = tmp_path / f"fuzz-{seed}.json"
-    save_tree(tree, path)
-    restored = load_tree(path)
-    validate_tree(restored)
-    q = (rng.uniform(0, 50), rng.uniform(0, 50))
-    assert_same_distances(
-        nearest(restored, q, k=3).neighbors,
-        nearest(tree, q, k=3).neighbors,
-    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -9,7 +9,8 @@ constants only alongside an explanation in the commit.
 
 import pytest
 
-from repro import CountingTracker, QueryConfig, bulk_load, nearest
+from repro import QueryConfig, bulk_load, nearest
+from repro.storage import CountingTracker
 from repro.bench.experiments import segment_distance_sq
 from repro.datasets import road_segments, uniform_points
 

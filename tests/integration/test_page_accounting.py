@@ -6,14 +6,8 @@ every experiment number rests on.
 
 import pytest
 
-from repro import (
-    CountingTracker,
-    LruBufferPool,
-    PageModel,
-    QueryConfig,
-    bulk_load,
-    nearest,
-)
+from repro import QueryConfig, bulk_load, nearest
+from repro.storage import CountingTracker, LruBufferPool, PageModel
 from repro.datasets import uniform_points
 
 

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro import PackedTree, RTree, Rect, bulk_load, nearest, linear_scan, validate_tree
+from repro import PackedTree, RTree, Rect, bulk_load, linear_scan, nearest
+from repro.rtree import validate_tree
 from repro.rtree.bulk import _gc_paused
 from repro.datasets import uniform_points
 from repro.errors import InvalidParameterError

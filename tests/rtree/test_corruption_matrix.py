@@ -2,15 +2,16 @@
 
 Three claims, each tested mechanically:
 
-1. *Detection* — flipping any single byte of any non-header data page in
-   an ``RNN2`` file is detected: the page's CRC32 fails, so the flip
-   surfaces in the scrub report and raises
+1. *Detection* — flipping any single byte of any page in an ``RNN2``
+   file, header included, is detected: the page's CRC32 fails, so the
+   flip surfaces in the scrub report and raises
    :class:`~repro.errors.ChecksumError` on the query path.
 2. *Atomicity* — killing ``write_tree`` at any injected fault point
    never leaves a loadable-but-wrong index at the destination: the old
    file (or its absence) survives byte-for-byte.
-3. *Compatibility* — pre-existing ``RNN1`` files still open and return
-   identical k-NN results.
+3. *One format* — a file whose magic is not ``RNN2`` (an ``RNN1``
+   relabel included) is refused at open and reported by scrub; no magic
+   switches the checksums off.
 
 The fault-injection seed is fixed (overridable via ``REPRO_FAULT_SEED``)
 so CI runs are reproducible.
@@ -24,7 +25,8 @@ from random import Random
 
 import pytest
 
-from repro import bulk_load, linear_scan_items, nearest
+from repro import bulk_load, nearest
+from repro.baselines import linear_scan_items
 from repro.datasets import uniform_points
 from repro.errors import (
     ChecksumError,
@@ -73,7 +75,7 @@ class TestSingleByteFlipDetection:
         """Exhaustive: all ~N*page_size single-byte corruptions detected."""
         pristine = disk_path.read_bytes()
         undetected = []
-        for offset in range(PAGE_SIZE, len(pristine)):  # skip header page
+        for offset in range(len(pristine)):  # the header page too
             page_id = offset // PAGE_SIZE
             data = bytearray(pristine)
             data[offset] ^= 0x5A
@@ -190,37 +192,21 @@ class TestAtomicWrites:
         assert not list(tmp_path.iterdir()), "temp file leaked"
 
 
-class TestV1Compatibility:
-    def test_v1_files_open_and_answer_identically(
-        self, tmp_path, tree, points
-    ):
-        v1 = tmp_path / "legacy.rnn"
-        v2 = tmp_path / "modern.rnn"
-        write_tree(tree, v1, page_size=PAGE_SIZE, format_version=1)
-        write_tree(tree, v2, page_size=PAGE_SIZE)
-        with DiskRTree(v1, page_size=PAGE_SIZE) as old, DiskRTree(
-            v2, page_size=PAGE_SIZE
-        ) as new:
-            assert old.format_version == 1
-            assert new.format_version == 2
-            assert len(old) == len(new) == len(points)
-            for q in QUERIES:
-                got_old = nearest(old, q, k=5).payloads()
-                got_new = nearest(new, q, k=5).payloads()
-                assert got_old == got_new == expected_knn(points, q, k=5)
+class TestOneFormat:
+    def test_rnn1_relabel_is_refused_everywhere(self, disk_path):
+        """An ``RNN1`` magic must not switch off the checksums."""
+        data = bytearray(disk_path.read_bytes())
+        data[3] = ord("1")  # RNN2 -> RNN1
+        data[2 * PAGE_SIZE + 40] ^= 0x5A  # and damage a data page
+        disk_path.write_bytes(bytes(data))
 
-    def test_v1_magic_is_bitwise_legacy(self, tmp_path, tree):
-        v1 = tmp_path / "legacy.rnn"
-        write_tree(tree, v1, page_size=PAGE_SIZE, format_version=1)
-        assert v1.read_bytes()[:4] == b"RNN1"
-
-    def test_scrub_flags_v1_as_checksumless_but_clean(self, tmp_path, tree):
-        v1 = tmp_path / "legacy.rnn"
-        write_tree(tree, v1, page_size=PAGE_SIZE, format_version=1)
-        report = scrub(v1, page_size=PAGE_SIZE)
-        assert report.clean
-        assert report.format_version == 1
-        assert "n/a" in report.render()
+        with pytest.raises(PageFileError):
+            DiskRTree(disk_path, page_size=PAGE_SIZE)
+        report = scrub(disk_path, page_size=PAGE_SIZE)
+        assert not report.clean
+        assert any(i.kind == "header" for i in report.issues)
+        assert "CLEAN" not in report.render()
+        assert 0 in verify_checksums(disk_path, page_size=PAGE_SIZE)
 
 
 class TestGracefulDegradation:

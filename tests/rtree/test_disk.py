@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro import (
-    QueryConfig,
-    RTree,
-    bulk_load,
-    linear_scan_items,
-    nearest,
-    within_distance,
-)
+from repro import QueryConfig, RTree, bulk_load, nearest
+from repro.baselines import linear_scan_items
+from repro.core import within_distance
 from repro.core.farthest import farthest_best_first
 from repro.core.knn_best_first import nearest_incremental
 from repro.datasets import uniform_points

@@ -45,7 +45,7 @@ def test_disk_roundtrip_property(
 @settings(max_examples=15, deadline=None)
 @given(st.lists(point2d, min_size=1, max_size=150))
 def test_disk_traversal_identical_to_memory(tmp_path_factory, points):
-    from repro import CountingTracker
+    from repro.storage import CountingTracker
 
     tree = RTree(max_entries=6)
     for i, p in enumerate(points):

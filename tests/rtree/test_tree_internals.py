@@ -3,7 +3,8 @@ reaches get pinned explicitly here."""
 
 import random
 
-from repro import RTree, Rect, linear_scan, validate_tree
+from repro import RTree, Rect, linear_scan
+from repro.rtree import validate_tree
 from repro.core.knn_dfs import nearest_dfs
 from repro.rtree.validate import tree_depth_of_leaves
 from tests.conftest import assert_same_distances

@@ -5,7 +5,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import RTree, Rect, bulk_load, linear_scan, validate_tree
+from repro import RTree, Rect, bulk_load, linear_scan
+from repro.rtree import validate_tree
 from repro.core.knn_dfs import nearest_dfs
 from tests.conftest import assert_same_distances
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import RTree, Rect, validate_tree
+from repro import RTree, Rect
+from repro.rtree import validate_tree
 from repro.errors import TreeInvariantError
 from repro.rtree.entry import Entry
 from tests.conftest import build_point_tree

@@ -20,7 +20,72 @@ SUBPACKAGES = [
 ]
 
 
+# The package root is the paper's surface plus the engines; everything
+# else is imported from its subpackage.
+ROOT_ALL = {
+    "RTree", "bulk_load", "Rect", "Point", "Segment",
+    "mindist", "mindist_squared", "minmaxdist", "minmaxdist_squared",
+    "PruningConfig", "QueryConfig", "Budget",
+    "nearest", "nearest_dfs", "nearest_best_first", "nearest_incremental",
+    "nearest_batch", "NearestNeighborQuery",
+    "NNResult", "Neighbor", "SearchStats",
+    "linear_scan", "DiskRTree", "write_tree", "PackedTree",
+    "Engine", "EngineOptions", "QueryEngine", "ResilientEngine",
+    "ShardedQueryEngine", "NNServer", "ServerConfig",
+    "ReproError", "InvalidParameterError", "__version__",
+}
+
+
+# Names that left the root and where they are imported from now.
+OFF_THE_ROOT = {
+    "repro.core": (
+        "NeighborBuffer", "PruningStats", "aggregate_nearest",
+        "count_within_distance", "farthest_best_first", "maxdist",
+        "maxdist_squared", "within_distance",
+    ),
+    "repro.rtree": (
+        "ScrubReport", "TreeQuality", "TreeSnapshot", "measure_quality",
+        "scrub", "validate_tree", "verify_checksums",
+    ),
+    "repro.storage": (
+        "AccessTracker", "CircuitBreaker", "CountingTracker",
+        "DiskCostModel", "FaultInjectingPageFile", "FaultPlan",
+        "FifoBufferPool", "LruBufferPool", "NullTracker", "PageFile",
+        "PageModel", "RetryPolicy", "ShardedTracker",
+    ),
+    "repro.baselines": ("GridIndex", "KdTree", "QuadTree", "linear_scan_items"),
+    "repro.obs": (
+        "CaptureLog", "MetricsRegistry", "QueryRecorder", "SlowQueryLog",
+        "SlowQueryRecord", "SpanContext", "SpanLog", "SpanSampler", "Trace",
+        "render_spans", "render_trace", "replay",
+    ),
+    "repro.service": (
+        "BrownoutController", "BrownoutLevel", "EngineSnapshot",
+        "EngineStats", "ResultCache", "TokenBucket",
+    ),
+    "repro.packed": ("packed_nearest_best_first", "packed_nearest_dfs"),
+    "repro.shard": ("ShardedStats",),
+    "repro.errors": (
+        "AdmissionRejected", "ChecksumError", "CorruptionWarning",
+        "DeadlineExceeded", "DimensionMismatchError", "EmptyIndexError",
+        "GeometryError", "InvalidRectError", "PageFileError",
+        "QuotaExceeded", "ShardLostError", "TornWriteError",
+        "TransientIOError", "TreeInvariantError",
+    ),
+}
+
+
 class TestTopLevelAll:
+    def test_root_all_is_pinned(self):
+        assert set(repro.__all__) == ROOT_ALL
+
+    @pytest.mark.parametrize("module_name", sorted(OFF_THE_ROOT))
+    def test_names_off_the_root_live_in_their_subpackage(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in OFF_THE_ROOT[module_name]:
+            assert hasattr(module, name), f"{module_name}.{name} missing"
+            assert name not in repro.__all__
+
     def test_every_name_resolves(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name}"
@@ -50,13 +115,8 @@ def test_key_workflows_importable_from_top_level():
     # The names the README and examples lean on must stay top-level.
     for name in (
         "RTree", "Rect", "Segment", "nearest", "nearest_batch",
-        "bulk_load", "validate_tree", "linear_scan", "KdTree",
-        "GridIndex", "QuadTree", "LruBufferPool", "PageModel",
-        "DiskRTree", "write_tree", "within_distance",
-        "farthest_best_first", "aggregate_nearest", "intersection_join",
-        "knn_join", "nearest_dfs_lp", "measure_quality",
-        "PruningConfig", "mindist", "minmaxdist", "maxdist",
-        "PackedTree", "packed_nearest_dfs", "packed_nearest_best_first",
+        "bulk_load", "linear_scan", "DiskRTree", "write_tree",
+        "PruningConfig", "mindist", "minmaxdist", "PackedTree",
     ):
         assert hasattr(repro, name), f"repro.{name} missing"
 
