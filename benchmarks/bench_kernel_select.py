@@ -18,6 +18,12 @@ Both kernels are called directly, past the gate, with the entry point's
 own prelude and result materialization; their answers are compared
 (neighbours, distances, ``SearchStats``) on every query.
 
+A third line times the library default, the paper's DFS: the public
+``packed_nearest_dfs`` at fanout 113, dim 2, at k = 1 with the default
+pruning (P1, P2 and P3) and at k = 10 (P3 only), with the answer and
+``SearchStats`` compared against the object kernel ``nearest_dfs`` on
+every query.  It needs no numpy and runs without it.
+
 A measuring instrument, not a gate: it asserts nothing about time.
 
     PYTHONPATH=src python benchmarks/bench_kernel_select.py            # n = 200,000
@@ -37,6 +43,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from bench_cold_start import host_stamp
 
 from repro import bulk_load
+from repro.core.knn_dfs import nearest_dfs
 from repro.datasets import uniform_points
 from repro.geometry.rect import Rect
 from repro.packed import batch, kernels
@@ -45,6 +52,7 @@ from repro.packed.kernels import (
     _best_first_2d,
     _best_first_general,
     _heap_to_neighbors,
+    packed_nearest_dfs,
 )
 
 FANOUTS = (8, 16, 32, 48, 64, 96, 113, 227)
@@ -53,6 +61,8 @@ KS = (1, 10, 50)
 GAPS_MS = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.3)
 GAP_FANOUT = 113
 GAP_K = 10
+DFS_FANOUT = 113
+DFS_KS = (1, 10)
 
 
 def solo(ptree: Any, point: Sequence[float], k: int) -> Tuple[list, Any]:
@@ -147,6 +157,31 @@ def with_gaps(
     return {name: statistics.median(v) for name, v in samples.items()}
 
 
+def dfs_default(n: int, rounds: int, passes: int, seed: int) -> None:
+    """Time ``packed_nearest_dfs`` at each of ``DFS_KS``, default pruning."""
+    points = uniform_points(n, seed=seed)
+    tree = bulk_load(
+        [(Rect.from_point(p), i) for i, p in enumerate(points)], max_entries=DFS_FANOUT
+    )
+    ptree = tree.packed()
+    queries = uniform_points(rounds, seed=seed + 13)
+    print(
+        f"\n3. packed_nearest_dfs, fanout {DFS_FANOUT}, dim 2, default pruning"
+        " (ms/query, median of passes; answers checked against nearest_dfs)"
+    )
+    for k in DFS_KS:
+        for q in queries:
+            if not same(packed_nearest_dfs(ptree, q, k), nearest_dfs(tree, q, k)):
+                raise SystemExit(f"packed and object DFS disagree at {q} k={k}")
+        per_pass = []
+        for _ in range(passes):
+            started = time.perf_counter()
+            for q in queries:
+                packed_nearest_dfs(ptree, q, k)
+            per_pass.append(1e3 * (time.perf_counter() - started) / len(queries))
+        print(f"  k {k:>2}   {statistics.median(per_pass):.4f}")
+
+
 def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="n = 20,000, fewer queries")
@@ -159,7 +194,8 @@ def main(argv: Sequence[str] = ()) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     print("pinned to one CPU, as perf/ pins its workloads")
     if not batch.NUMPY_AVAILABLE:
-        print("numpy is not importable: the block never runs here; nothing to measure")
+        print("numpy is not importable: the block never runs here; sections 1-2 skipped")
+        dfs_default(n, rounds, passes, args.seed)
         return 0
     print(
         f"gate today: mean entries/node >= {kernels._BLOCK_MIN_FANOUT} and"
@@ -213,6 +249,7 @@ def main(argv: Sequence[str] = ()) -> int:
         )
     won = [g for i, g in enumerate(GAPS_MS) if all(c < 0.0 for c in changes[:i + 1])]
     print(f"  the block wins at every gap up to {f'{won[-1]:g} ms' if won else '(none)'}")
+    dfs_default(n, rounds, passes, args.seed)
     return 0
 
 

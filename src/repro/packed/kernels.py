@@ -24,15 +24,16 @@ prune slack, read from :mod:`repro.core.knn_dfs` so the audit's
 broken-prune seam reaches this path too), their stable ABL sort, and the
 candidate buffer's tie-breaking counter discipline.
 
-**Five loops.**  Each algorithm has one *general* loop
+**Four loops.**  Each algorithm has one *general* loop
 (:func:`_dfs_general`, :func:`_best_first_general`: any dimension, every
 ordering/pruning/epsilon combination, with ``None``-checked budget-clock
-and trace hooks) plus 2-D specializations without the hooks
-(:func:`_dfs_2d_fast`, :func:`_dfs_2d_general`, :func:`_best_first_2d`),
-which the entry points select when ``dim == 2 and trace is None and
-budget is None`` — unless :func:`_select_block` sends a hot best-first
-query to the numpy block of :mod:`repro.packed.batch`.  docs/INTERNALS.md
-("Packed kernel dispatch") holds the measurements behind both choices.
+and trace hooks) plus one 2-D specialization without the hooks
+(:func:`_dfs_2d`, :func:`_best_first_2d`; the DFS one also covers every
+ordering/pruning/epsilon combination), which the entry points select
+when ``dim == 2 and trace is None and budget is None`` — unless
+:func:`_select_block` sends a hot best-first query to the numpy block of
+:mod:`repro.packed.batch`.  docs/INTERNALS.md ("Packed kernel dispatch")
+holds the measurements behind both choices.
 """
 
 from __future__ import annotations
@@ -170,21 +171,10 @@ def packed_nearest_dfs(
         config = pruning.effective_for_k(k)
     slack = _knn_dfs._PRUNE_SLACK
     if ptree.dimension == 2 and trace is None and budget is None:
-        if (
-            ordering == "mindist"
-            and config.use_p3
-            and not config.use_p1
-            and not config.use_p2
-        ):
-            heap = _dfs_2d_fast(
-                ptree, query[0], query[1], slots, shrink_sq, slack, tracker,
-                stats,
-            )
-        else:
-            heap = _dfs_2d_general(
-                ptree, query[0], query[1], slots, config, ordering,
-                shrink_sq, slack, tracker, stats,
-            )
+        heap = _dfs_2d(
+            ptree, query[0], query[1], slots, config, ordering, shrink_sq,
+            slack, tracker, stats,
+        )
         return _heap_to_neighbors(ptree, heap), stats
     clock = budget.start() if budget is not None else None
     heap, frontier_sq = _dfs_general(
@@ -347,32 +337,36 @@ def _heap_to_neighbors(ptree: PackedTree, heap: List[tuple]) -> List[Neighbor]:
 # DFS kernels
 # ----------------------------------------------------------------------
 #
-# All three DFS variants share one shape: an explicit stack of
+# Both DFS loops share one shape: an explicit stack of
 # (mindist_sq, node_index) pairs replaces the recursion.  Per internal
 # node the ABL is built, stable-sorted ascending by the ordering key, and
-# pushed in reverse, so the nearest branch pops first — this reproduces
-# the recursive kernel's visit order exactly, including when each P3
-# re-check happens and therefore how the k-th-candidate bound evolves.
+# pushed in reverse, so the first branch in ABL order pops first — this
+# reproduces the recursive kernel's visit order exactly, including when
+# each P3 re-check happens and therefore how the k-th-candidate bound
+# evolves.
 
-def _dfs_2d_fast(
+def _dfs_2d(
     ptree: PackedTree,
     px: float,
     py: float,
     k: int,
+    config: PruningConfig,
+    ordering: str,
     shrink_sq: float,
     slack: float,
     tracker: Optional[AccessTracker],
     stats: SearchStats,
 ) -> List[tuple]:
-    """2-D DFS, MINDIST ordering, P3-only pruning (the k>1 default path).
+    """2-D DFS covering every ordering/pruning/epsilon combination.
 
-    Everything lives in locals; the per-entry work is a few slab reads and
-    a handful of float operations.  Two shortcuts beyond the general
-    kernel, both exactness-preserving:
+    Everything lives in locals and reads the per-axis columns; the
+    per-entry work is a few slab reads and a handful of float operations.
+    Two shortcuts beyond :func:`_dfs_general`, both exactness-preserving:
 
-    - ``bound`` caches ``(worst * shrink) * slack`` and is refreshed only
-      when the k-th candidate improves (the object kernel recomputes the
-      same product at every P3 check);
+    - ``bound`` caches the P3 test's ``min(worst * shrink, minmax_bound) *
+      slack`` (``inf`` without P3) and is refreshed only when the k-th
+      candidate or the P2 bound improves (the object kernel recomputes the
+      same expression, in the same float order, at every P3 check);
     - branches already beyond ``bound`` when their node's ABL is built are
       counted as P3-pruned immediately instead of being pushed: the bound
       only ever tightens, so the object kernel is guaranteed to prune
@@ -388,6 +382,11 @@ def _dfs_2d_fast(
     yhi = ptree.yhi
     page_ids = ptree.page_ids
     track = tracker.access if tracker is not None else None
+    use_p1 = config.use_p1
+    use_p2 = config.use_p2
+    use_p3 = config.use_p3
+    by_minmax = ordering == "minmaxdist"
+    need_minmax = by_minmax or use_p1 or use_p2
 
     # Sentinel-prefilled candidate heap: k slots at distance +inf.  The
     # worst (root) slot stays +inf until k real candidates have displaced
@@ -395,9 +394,10 @@ def _dfs_2d_fast(
     # and every accept is a single heapreplace, no size checks.
     heap: List[tuple] = [_SENTINEL] * k
     worst = _INF
-    bound = _INF  # == worst * shrink_sq * slack, refreshed with worst
+    minmax_bound = _INF  # the P2 bound; stays inf without P2
+    bound = _INF
     counter = 0
-    leaves = internals = objects = branch_total = p3 = 0
+    leaves = internals = objects = branch_total = p1 = p2 = p3 = 0
     stack: List[tuple] = [(0.0, 0)]
     pop = stack.pop
     while stack:
@@ -408,52 +408,49 @@ def _dfs_2d_fast(
         s = starts[ni]
         e = starts[ni + 1]
         kind = kinds[ni]
-        if kind == 2:  # points leaf: degenerate rects, read only lo coords
+        if kind != 0:  # leaf (points or rects)
             if track is not None:
                 track(page_ids[ni], True)
             leaves += 1
             objects += e - s
             i = s
-            for x, y in zip(xlo[s:e], ylo[s:e]):
-                t = px - x
-                d = t * t
-                t = py - y
-                d += t * t
-                if d < worst:
-                    counter += 1
-                    heapreplace(heap, (-d, counter, i))
-                    worst = -heap[0][0]
-                    bound = worst * shrink_sq * slack
-                i += 1
-            continue
-        if kind == 1:  # rect leaf: full per-axis clamp
-            if track is not None:
-                track(page_ids[ni], True)
-            leaves += 1
-            objects += e - s
-            i = s
-            for lo, hi, lo2, hi2 in zip(xlo[s:e], xhi[s:e], ylo[s:e], yhi[s:e]):
-                d = 0.0
-                if px < lo:
-                    t = lo - px
+            if kind == 2:  # points leaf: degenerate rects, read only lo coords
+                for x, y in zip(xlo[s:e], ylo[s:e]):
+                    t = px - x
                     d = t * t
-                elif px > hi:
-                    t = px - hi
-                    d = t * t
-                if py < lo2:
-                    t = lo2 - py
+                    t = py - y
                     d += t * t
-                elif py > hi2:
-                    t = py - hi2
-                    d += t * t
-                if d < worst:
-                    counter += 1
-                    heapreplace(heap, (-d, counter, i))
-                    worst = -heap[0][0]
-                    bound = worst * shrink_sq * slack
-                i += 1
+                    if d < worst:
+                        counter += 1
+                        heapreplace(heap, (-d, counter, i))
+                        worst = -heap[0][0]
+                    i += 1
+            else:  # rect leaf: full per-axis clamp
+                for lo, hi, lo2, hi2 in zip(
+                    xlo[s:e], xhi[s:e], ylo[s:e], yhi[s:e]
+                ):
+                    d = 0.0
+                    if px < lo:
+                        t = lo - px
+                        d = t * t
+                    elif px > hi:
+                        t = px - hi
+                        d = t * t
+                    if py < lo2:
+                        t = lo2 - py
+                        d += t * t
+                    elif py > hi2:
+                        t = py - hi2
+                        d += t * t
+                    if d < worst:
+                        counter += 1
+                        heapreplace(heap, (-d, counter, i))
+                        worst = -heap[0][0]
+                    i += 1
+            if use_p3:
+                bound = min(worst * shrink_sq, minmax_bound) * slack
             continue
-        # Internal node: build, sort, pre-filter and push the ABL.
+        # Internal node: build, sort, cut and push the ABL.
         if track is not None:
             track(page_ids[ni], False)
         internals += 1
@@ -480,170 +477,72 @@ def _dfs_2d_fast(
         # Plain tuple sort: refs ascend in entry order (BFS numbering), so
         # distance ties resolve exactly like the object kernel's stable
         # sort over entry order.
-        abl.sort()
+        if not by_minmax:
+            abl.sort()
+        if need_minmax:
+            # A second pass, only for P1, P2 or MINMAXDIST order: unrolled
+            # 2-D MINMAXDIST^2 in metrics._minmaxdist_sq_unchecked's float
+            # order.  Its every term is >= the MINDIST term, so in MINDIST
+            # order no entry at or past the running minimum can lower it.
+            # Siblings are numbered in a run: entry = ref + shift.
+            mmds = []
+            min_minmax = _INF
+            shift = s - refs[s] if abl else 0
+            for d, ref in abl:
+                if d >= min_minmax and not by_minmax:
+                    break
+                j = ref + shift
+                lo = xlo[j]
+                hi = xhi[j]
+                mid = (lo + hi) / 2.0
+                t = px - (lo if px <= mid else hi)
+                near_x = t * t
+                t = px - (lo if px >= mid else hi)
+                far_x = t * t
+                lo = ylo[j]
+                hi = yhi[j]
+                mid = (lo + hi) / 2.0
+                t = py - (lo if py <= mid else hi)
+                near_y = t * t
+                t = py - (lo if py >= mid else hi)
+                far_y = t * t
+                mmd = near_x + far_y
+                t = far_x + near_y
+                if t < mmd:
+                    mmd = t
+                if mmd < min_minmax:
+                    min_minmax = mmd
+                mmds.append(mmd)
+            if use_p2 and min_minmax < minmax_bound:
+                minmax_bound = min_minmax
+                p2 += 1
+                if use_p3:
+                    bound = min(worst * shrink_sq, minmax_bound) * slack
+            p1_bound = min_minmax * slack if use_p1 else _INF
+        if by_minmax:
+            # Sort key (mmd, ref), ties again by entry order.  P1 and the
+            # P3 pre-cut filter on MINDIST, which this order leaves unsorted.
+            keyed = []
+            for (d, ref), mmd in zip(abl, mmds):
+                if d > p1_bound:
+                    p1 += 1
+                elif d > bound:
+                    p3 += 1
+                else:
+                    keyed.append((mmd, ref, d))
+            keyed.sort()
+            stack.extend([(d, ref) for _mmd, ref, d in reversed(keyed)])
+            continue
+        # Under MINDIST order both cuts are one bisect each.
+        if use_p1 and abl and abl[-1][0] > p1_bound:
+            cut = bisect_right(abl, (p1_bound, _MAXREF))
+            p1 += len(abl) - cut
+            del abl[cut:]
         if abl and abl[-1][0] > bound:
             cut = bisect_right(abl, (bound, _MAXREF))
             p3 += len(abl) - cut
             del abl[cut:]
         stack.extend(reversed(abl))
-
-    stats.nodes_accessed = leaves + internals
-    stats.leaf_accesses = leaves
-    stats.internal_accesses = internals
-    stats.objects_examined = objects
-    stats.branch_entries_considered = branch_total
-    stats.pruning.p3_pruned = p3
-    return heap
-
-
-def _dfs_2d_general(
-    ptree: PackedTree,
-    px: float,
-    py: float,
-    k: int,
-    config: PruningConfig,
-    ordering: str,
-    shrink_sq: float,
-    slack: float,
-    tracker: Optional[AccessTracker],
-    stats: SearchStats,
-) -> List[tuple]:
-    """2-D DFS covering every ordering/pruning/epsilon combination."""
-    kinds = ptree.kinds
-    starts = ptree.starts
-    refs = ptree.refs
-    coords = ptree.coords
-    page_ids = ptree.page_ids
-    track = tracker.access if tracker is not None else None
-    use_p1 = config.use_p1
-    use_p2 = config.use_p2
-    use_p3 = config.use_p3
-    by_minmax = ordering == "minmaxdist"
-    need_minmax = by_minmax or use_p1 or use_p2
-
-    minmax_bound = _INF
-    heap: List[tuple] = [_SENTINEL] * k
-    worst = _INF
-    counter = 0
-    leaves = internals = objects = branch_total = 0
-    p1 = p2 = p3 = 0
-    stack: List[tuple] = [(0.0, 0)]
-    pop = stack.pop
-    while stack:
-        md, ni = pop()
-        if use_p3:
-            bound = worst * shrink_sq
-            if use_p2 and minmax_bound < bound:
-                bound = minmax_bound
-            if md > bound * slack:
-                p3 += 1
-                continue
-        s = starts[ni]
-        e = starts[ni + 1]
-        base = s * 4
-        kind = kinds[ni]
-        if kind != 0:  # leaf (points or rects)
-            if track is not None:
-                track(page_ids[ni], True)
-            leaves += 1
-            objects += e - s
-            points_mode = kind == 2
-            for i in range(s, e):
-                if points_mode:
-                    t = px - coords[base]
-                    d = t * t
-                    t = py - coords[base + 1]
-                    d += t * t
-                else:
-                    lo = coords[base]
-                    hi = coords[base + 2]
-                    d = 0.0
-                    if px < lo:
-                        t = lo - px
-                        d = t * t
-                    elif px > hi:
-                        t = px - hi
-                        d = t * t
-                    lo = coords[base + 1]
-                    hi = coords[base + 3]
-                    if py < lo:
-                        t = lo - py
-                        d += t * t
-                    elif py > hi:
-                        t = py - hi
-                        d += t * t
-                base += 4
-                if d < worst:
-                    counter += 1
-                    heapreplace(heap, (-d, counter, i))
-                    worst = -heap[0][0]
-            continue
-        # Internal node.
-        if track is not None:
-            track(page_ids[ni], False)
-        internals += 1
-        branch_total += e - s
-        abl = []
-        append = abl.append
-        min_minmax = _INF
-        for i in range(s, e):
-            lo_x = coords[base]
-            lo_y = coords[base + 1]
-            hi_x = coords[base + 2]
-            hi_y = coords[base + 3]
-            base += 4
-            d = 0.0
-            if px < lo_x:
-                t = lo_x - px
-                d = t * t
-            elif px > hi_x:
-                t = px - hi_x
-                d = t * t
-            if py < lo_y:
-                t = lo_y - py
-                d += t * t
-            elif py > hi_y:
-                t = py - hi_y
-                d += t * t
-            if need_minmax:
-                # Unrolled 2-D MINMAXDIST^2, same evaluation order as
-                # metrics._minmaxdist_sq_unchecked (axis-order direct sums).
-                mid = (lo_x + hi_x) / 2.0
-                t = px - (lo_x if px <= mid else hi_x)
-                near_x = t * t
-                t = px - (lo_x if px >= mid else hi_x)
-                far_x = t * t
-                mid = (lo_y + hi_y) / 2.0
-                t = py - (lo_y if py <= mid else hi_y)
-                near_y = t * t
-                t = py - (lo_y if py >= mid else hi_y)
-                far_y = t * t
-                mmd = near_x + far_y
-                c1 = far_x + near_y
-                if c1 < mmd:
-                    mmd = c1
-                if mmd < min_minmax:
-                    min_minmax = mmd
-            else:
-                mmd = _INF
-            append((mmd if by_minmax else d, d, refs[i]))
-
-        if use_p2 and min_minmax < minmax_bound:
-            minmax_bound = min_minmax
-            p2 += 1
-        if use_p1 and abl:
-            p1_bound = min_minmax * slack
-            kept = []
-            for b in abl:
-                if b[1] <= p1_bound:
-                    kept.append(b)
-                else:
-                    p1 += 1
-            abl = kept
-        abl.sort(key=_key0)
-        for j in range(len(abl) - 1, -1, -1):
-            b = abl[j]
-            stack.append((b[1], b[2]))
 
     stats.nodes_accessed = leaves + internals
     stats.leaf_accesses = leaves

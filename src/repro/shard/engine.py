@@ -64,6 +64,7 @@ from repro.geometry.rect import Rect
 from repro.obs.spans import SpanContext
 from repro.packed.layout import PackedTree
 from repro.rtree.bulk import bulk_load
+from repro.rtree.tree import _coerce_rect
 from repro.service.cache import ResultCache
 from repro.service.locks import ReadWriteLock
 from repro.service.options import EngineOptions
@@ -92,6 +93,20 @@ def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
+    )
+
+
+def _source_items(
+    tree: Any, items: Optional[Sequence[Tuple[Any, Any]]]
+) -> Iterable[Tuple[Rect, Any]]:
+    """The ``(rect, payload)`` pairs to shard: the tree's own, or *items*
+    with each point coerced to its degenerate rect, as ``bulk_load`` does
+    (a pair that already holds a ``Rect`` passes through as it is)."""
+    if tree is not None:
+        return tree.items()
+    return (
+        item if isinstance(item[0], Rect) else (_coerce_rect(item[0]), item[1])
+        for item in items
     )
 
 
@@ -540,7 +555,7 @@ class ShardedQueryEngine:
         # — the /stats per-shard gauges.
         self._shard_requests: List[int] = []
         self._shard_pages: List[int] = []
-        source = tree.items() if tree is not None else items
+        source = _source_items(tree, items)
         try:
             self._publish(self._build_shards(source, shards, 1), boot=True)
         except BaseException:
@@ -689,7 +704,7 @@ class ShardedQueryEngine:
         """
         if (tree is None) == (items is None):
             raise InvalidParameterError("pass exactly one of tree= or items=")
-        source = tree.items() if tree is not None else items
+        source = _source_items(tree, items)
         with self._swap_lock:
             self._ensure_open()
             built = self._build_shards(

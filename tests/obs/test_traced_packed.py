@@ -8,7 +8,7 @@ Two contracts:
    pruning/epsilon combo in 2-D and 3-D — and its trace stream matches
    the object kernels' event-for-event (modulo ``exit`` placement, which
    differs between recursion and an explicit stack).  The entry points
-   pick one of five loops from ``dim``/``trace``/``budget``; this grid
+   pick one of four loops from ``dim``/``trace``/``budget``; this grid
    pins every cell of that choice through the public doors only.
 2. ``pages_skipped_corrupt`` propagates through the packed kernels and
    the ``nearest_batch`` merge paths identically to the object kernels

@@ -8,6 +8,8 @@ ties, duplicate points, on-face queries, 2-D and 3-D data, and mixed
 fanouts/splits — the cases where a subtly wrong kernel diverges first.
 """
 
+import itertools
+
 import pytest
 
 from repro.audit.backends import build_memory_tree
@@ -26,6 +28,7 @@ from repro.packed.kernels import (
     packed_nearest_dfs,
 )
 from repro.packed.layout import PackedTree
+from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree
 from repro.service.engine import QueryEngine
 from repro.service.options import EngineOptions
@@ -33,11 +36,23 @@ from repro.storage.tracker import CountingTracker
 
 pytestmark = pytest.mark.packed
 
+#: Every P1/P2/P3 combination: the one 2-D DFS loop branches on each.
 PRUNING_CONFIGS = [
-    PruningConfig.all(),
-    PruningConfig.none(),
-    PruningConfig.only_p3(),
+    PruningConfig(*flags)
+    for flags in itertools.product((True, False), repeat=3)
 ]
+
+
+class RecordingTracker(CountingTracker):
+    """A counting tracker that also records the page-access stream."""
+
+    def __init__(self):
+        super().__init__()
+        self.trace = []
+
+    def access(self, node_id, is_leaf):
+        self.trace.append((node_id, is_leaf))
+        return super().access(node_id, is_leaf)
 
 
 def _assert_identical(packed_out, object_out):
@@ -142,10 +157,17 @@ def test_rect_data_equivalence():
     for query in queries:
         for k in (1, 5, 200):
             for ordering in ("mindist", "minmaxdist"):
-                _assert_identical(
-                    packed_nearest_dfs(packed, query, k=k, ordering=ordering),
-                    nearest_dfs(tree, query, k=k, ordering=ordering),
-                )
+                for pruning in PRUNING_CONFIGS:
+                    _assert_identical(
+                        packed_nearest_dfs(
+                            packed, query, k=k,
+                            ordering=ordering, pruning=pruning,
+                        ),
+                        nearest_dfs(
+                            tree, query, k=k,
+                            ordering=ordering, pruning=pruning,
+                        ),
+                    )
             _assert_identical(
                 packed_nearest_best_first(packed, query, k=k),
                 nearest_best_first(tree, query, k=k),
@@ -154,30 +176,107 @@ def test_rect_data_equivalence():
 
 def test_tracker_parity():
     """Page-access streams (ids and leaf flags) must match exactly."""
-
-    class RecordingTracker(CountingTracker):
-        def __init__(self):
-            super().__init__()
-            self.trace = []
-
-        def access(self, node_id, is_leaf):
-            self.trace.append((node_id, is_leaf))
-            return super().access(node_id, is_leaf)
-
     workload = make_workload(42, 1, "uniform")
     tree = build_memory_tree(workload.points)
     packed = PackedTree.from_tree(tree)
     for query in workload.queries:
-        obj_tracker = RecordingTracker()
-        pk_tracker = RecordingTracker()
-        nearest_dfs(tree, query, k=3, tracker=obj_tracker)
-        packed_nearest_dfs(packed, query, k=3, tracker=pk_tracker)
-        assert pk_tracker.trace == obj_tracker.trace
+        for k, ordering, pruning in itertools.product(
+            (1, 3), ("mindist", "minmaxdist"), PRUNING_CONFIGS
+        ):
+            obj_tracker = RecordingTracker()
+            pk_tracker = RecordingTracker()
+            nearest_dfs(
+                tree, query, k=k, ordering=ordering, pruning=pruning,
+                tracker=obj_tracker,
+            )
+            packed_nearest_dfs(
+                packed, query, k=k, ordering=ordering, pruning=pruning,
+                tracker=pk_tracker,
+            )
+            assert pk_tracker.trace == obj_tracker.trace
         obj_tracker = RecordingTracker()
         pk_tracker = RecordingTracker()
         nearest_best_first(tree, query, k=3, tracker=obj_tracker)
         packed_nearest_best_first(packed, query, k=3, tracker=pk_tracker)
         assert pk_tracker.trace == obj_tracker.trace
+
+
+def test_grid_ties_break_like_the_object_kernel():
+    """Congruent sibling MBRs on a grid tie on MINDIST *and* MINMAXDIST
+    for queries on a symmetry axis: both sort keys must break the tie by
+    entry order, as the object kernel's stable sort does, or the visit
+    order, the page stream and the counters drift."""
+    points = [(float(x), float(y)) for x in range(12) for y in range(12)]
+    tree = bulk_load(
+        [(Rect.from_point(p), i) for i, p in enumerate(points)],
+        max_entries=4,
+    )
+    packed = PackedTree.from_tree(tree)
+    queries = [(5.5, 5.5), (5.5, 0.0), (0.0, 5.5), (-3.0, 5.5), (1.5, 1.5)]
+    for query, k, ordering, pruning in itertools.product(
+        queries, (1, 3), ("mindist", "minmaxdist"), PRUNING_CONFIGS
+    ):
+        obj_tracker = RecordingTracker()
+        pk_tracker = RecordingTracker()
+        _assert_identical(
+            packed_nearest_dfs(
+                packed, query, k=k, ordering=ordering, pruning=pruning,
+                tracker=pk_tracker,
+            ),
+            nearest_dfs(
+                tree, query, k=k, ordering=ordering, pruning=pruning,
+                tracker=obj_tracker,
+            ),
+        )
+        assert pk_tracker.trace == obj_tracker.trace
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "clustered"])
+@pytest.mark.parametrize("case_index", range(6))
+def test_p1_is_redundant_at_k1_under_mindist(distribution, case_index):
+    """Relation A (Cheung & Fu, SIGMOD Record 1998): at k = 1 under
+    MINDIST ordering, P1 changes nothing but which counter a prune lands in.
+
+    The sibling with the smallest MINMAXDIST has a MINDIST no larger than
+    that MINMAXDIST, so it sorts ahead of every branch P1 would cut; once
+    visited it bounds the candidate by that MINMAXDIST, and P3 cuts those
+    branches before any is popped.  So {P1,P2,P3} equals {P2,P3} and
+    {P1,P3} equals {P3}: same answer, same pages in the same order, and
+    ``p1_pruned + p3_pruned`` conserved.
+    """
+    workload = make_workload(1995, case_index, distribution)
+    tree = build_memory_tree(
+        workload.points,
+        max_entries=workload.max_entries,
+        split=workload.split,
+        use_bulk_load=workload.use_bulk_load,
+    )
+    packed = PackedTree.from_tree(tree)
+    pairs = [
+        (PruningConfig(True, True, True), PruningConfig(False, True, True)),
+        (PruningConfig(True, False, True), PruningConfig(False, False, True)),
+    ]
+    kernels = ((nearest_dfs, tree), (packed_nearest_dfs, packed))
+    for query in workload.queries:
+        for kernel, index in kernels:
+            for with_p1, without_p1 in pairs:
+                runs = []
+                for pruning in (with_p1, without_p1):
+                    tracker = RecordingTracker()
+                    neighbors, stats = kernel(
+                        index, query, k=1, pruning=pruning, tracker=tracker
+                    )
+                    runs.append((neighbors, stats, tracker.trace))
+                (nb1, st1, pages1), (nb0, st0, pages0) = runs
+                assert [nb.payload for nb in nb1] == [nb.payload for nb in nb0]
+                assert [nb.distance.hex() for nb in nb1] == [
+                    nb.distance.hex() for nb in nb0
+                ]
+                assert st1.nodes_accessed == st0.nodes_accessed
+                assert st1.objects_examined == st0.objects_examined
+                assert pages1 == pages0
+                assert st0.pruning.p1_pruned == 0
+                assert st1.pruning.total == st0.pruning.total
 
 
 def test_validation_errors_match_object_kernels():

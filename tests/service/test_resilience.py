@@ -322,13 +322,26 @@ class TestEngineLifecycleSatellites:
             tree, config=QueryConfig(k=3), options=EngineOptions(workers=2)
         )
         results = []
+        # Shut down only once the whole batch is in the pool: a fixed
+        # sleep raced the submitting thread (a collector pause or a GIL
+        # hand-off can outlast it, and a submit after shutdown raises).
+        entered = threading.Semaphore(0)
+        pool_submit = eng._executor.submit
+
+        def counting_submit(*args, **kwargs):
+            future = pool_submit(*args, **kwargs)
+            entered.release()
+            return future
+
+        eng._executor.submit = counting_submit
         batcher = threading.Thread(
             target=lambda: results.extend(
                 eng.query_batch(uniform_points(50, seed=1))
             )
         )
         batcher.start()
-        time.sleep(0.005)  # let the batch enter the pool
+        for _ in range(50):
+            assert entered.acquire(timeout=10.0)
         assert eng.shutdown(timeout=10.0)  # drains queued work
         batcher.join(10)
         assert not batcher.is_alive()

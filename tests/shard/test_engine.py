@@ -208,6 +208,24 @@ class TestConfigSemantics:
                     ),
                 )
 
+    def test_point_items_boot_and_republish(self, uniform_items):
+        """``items=`` takes ``(point, payload)`` pairs, as ``bulk_load``
+        does, at boot and on republish."""
+        points = [(rect.lo, payload) for rect, payload in uniform_items]
+        q = (500.0, 500.0)
+
+        def want(source):
+            return [(n.payload, n.distance) for n in linear_scan_items(
+                source, q, k=5
+            )]
+
+        with ShardedQueryEngine(
+            items=points, shards=3, options=FAST, processes=False
+        ) as engine:
+            assert _pairs(engine.query(q, k=5)) == want(uniform_items)
+            engine.republish(items=points[::2])
+            assert _pairs(engine.query(q, k=5)) == want(uniform_items[::2])
+
 
 def _reply(distances_sq, **stats):
     """A hand-built `FlatResult`: point neighbors at the given distances."""
